@@ -418,7 +418,10 @@ mod tests {
             assert!(level.latency_ms[i] > level.latency_ms[i - 1]);
         }
         assert!(level.backlog_grew(), "{level:?}");
-        assert!(level.lag_p99() < 10.0);
+        // The generator stays on schedule: its lateness (sleep overshoot
+        // on a busy host, a few ms) is small against the latency the
+        // server's queue adds (over a second by request 29).
+        assert!(level.lag_p99() < level.latency_ms[29] / 10.0, "{level:?}");
     }
 
     #[test]

@@ -1,15 +1,12 @@
-//! The three sweep workloads: bulk throughput through `run_sweep`, an
-//! open-loop stream of sweep slices on a resident `FleetPool`, the
+//! The three sweep workloads: bulk throughput through `run_sweep`, the
 //! output checks, and the traced replay.
 
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ecl_aaa::TimeNs;
 use ecl_bench::fleet::{
-    map_indexed_with, run_scenario, run_sweep, sweep_bound_ns, FaultAxes, FleetPool, SweepCaches,
-    SweepConfig, SweepOutput, SWEEP_BUCKETS,
+    map_indexed_with, run_scenario, run_sweep, sweep_bound_ns, FaultAxes, SweepCaches, SweepConfig,
+    SweepOutput, SWEEP_BUCKETS,
 };
 use ecl_bench::{dc_motor_loop, split_scenario, SplitScenario};
 use ecl_core::cosim::LoopSpec;
@@ -17,7 +14,6 @@ use ecl_core::report::ScenarioOutcome;
 use ecl_core::CoreError;
 use ecl_telemetry::{Histogram, WorkerProfile};
 
-use crate::openloop::{self, Completion, Ladder, Level, Service};
 use crate::replay::{self, Replay};
 use crate::{stats, trace, Ctx, Metrics, Unstolen};
 
@@ -45,16 +41,19 @@ pub fn deployment(horizon: f64) -> Result<Deployment, CoreError> {
 }
 
 /// Median wall time of `reps` deployment builds, s.
-pub fn setup_seconds(horizon: f64, reps: usize) -> Result<f64, CoreError> {
+fn setup_round(horizon: f64, reps: usize) -> Result<f64, String> {
     let mut times = Vec::with_capacity(reps);
     for _ in 0..reps {
         let t = Instant::now();
-        let d = deployment(horizon)?;
+        let d = deployment(horizon).map_err(|e| e.to_string())?;
         times.push(t.elapsed().as_secs_f64());
         drop(d);
     }
     Ok(stats::median(&times))
 }
+
+/// Deployment builds timed ahead of every bulk sweep.
+const SETUP_ROUND: usize = 101;
 
 /// Which sweep shape a workload runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,30 +70,15 @@ pub enum Shape {
     Cold,
 }
 
-/// Fixed sizes, rates and limits of one sweep workload.
+/// Fixed sizes of one sweep workload.
 #[derive(Debug, Clone, Copy)]
 pub struct Plan {
     /// Co-simulation horizon of the loop, s.
     pub horizon: f64,
     /// Scenarios per bulk sweep.
     pub bulk_n: usize,
-    /// Scenarios per small open-loop sweep slice (see [`slice_of`]).
-    pub job_n: usize,
-    /// Requests per rate level (≥ 1000, so ten lie beyond p99).
-    pub level_n: usize,
-    /// The low offered rate, slices per second.
-    pub low_rate: f64,
-    /// The rate ladder; the high level is rung `high_rung`.
-    pub ladder: Ladder,
-    /// Rung of the high level.
-    pub high_rung: usize,
-    /// p99 latency limit of the ladder, ms.
-    pub limit_ms: f64,
     /// Scenarios of the unmemoized, unpruned reference prefix.
     pub prefix_n: usize,
-    /// Every this many open-loop indices past the bulk sweep, a row is
-    /// checked against an unmemoized run.
-    pub sample_every: usize,
     /// Scenarios of the traced replay.
     pub replay_n: usize,
 }
@@ -106,52 +90,19 @@ impl Shape {
             Shape::Memo => Plan {
                 horizon: 0.05,
                 bulk_n: 131_072,
-                job_n: 256,
-                level_n: 1000,
-                low_rate: 300.0,
-                ladder: Ladder {
-                    base: 300.0,
-                    ratio: 1.05,
-                    steps: 24,
-                },
-                high_rung: 10,
-                limit_ms: 50.0,
                 prefix_n: 1024,
-                sample_every: 4096,
                 replay_n: 65_536,
             },
             Shape::Faults => Plan {
                 horizon: 0.05,
                 bulk_n: 16_384,
-                job_n: 32,
-                level_n: 1000,
-                low_rate: 320.0,
-                ladder: Ladder {
-                    base: 320.0,
-                    ratio: 1.05,
-                    steps: 24,
-                },
-                high_rung: 10,
-                limit_ms: 50.0,
                 prefix_n: 512,
-                sample_every: 512,
                 replay_n: 8192,
             },
             Shape::Cold => Plan {
                 horizon: 0.05,
                 bulk_n: 1024,
-                job_n: 2,
-                level_n: 1000,
-                low_rate: 200.0,
-                ladder: Ladder {
-                    base: 200.0,
-                    ratio: 1.05,
-                    steps: 24,
-                },
-                high_rung: 8,
-                limit_ms: 80.0,
                 prefix_n: 64,
-                sample_every: 64,
                 replay_n: 512,
             },
         }
@@ -255,251 +206,22 @@ fn check_rows(
     Ok(())
 }
 
-/// One open-loop slice in [`LARGE_EVERY`] is [`LARGE_FACTOR`] times the
-/// others: a service sees a few large sweeps among many small ones, and
-/// the p99 measures them (and the slices queued behind them) rather than
-/// scheduler noise.
-const LARGE_EVERY: usize = 32;
-/// See [`LARGE_EVERY`].
-const LARGE_FACTOR: usize = 16;
-
-/// `(first global index, scenario count)` of open-loop slice `id`:
-/// slices tile the index space in id order.
-fn slice_of(id: usize, job_n: usize) -> (usize, usize) {
-    let first = (id + (LARGE_FACTOR - 1) * (id / LARGE_EVERY)) * job_n;
-    let count = if id % LARGE_EVERY == LARGE_EVERY - 1 {
-        LARGE_FACTOR * job_n
-    } else {
-        job_n
-    };
-    (first, count)
-}
-
-/// A completed slice, with the executor's own timestamps.
-struct SliceDone {
-    id: usize,
-    ok: bool,
-    /// Rows past the bulk reference kept for the sampled check.
-    samples: Vec<ScenarioOutcome>,
-    submitted: Instant,
-    picked: Instant,
-    finished: Instant,
-}
-
-/// Sweep-as-a-service without the daemon: one executor thread drains a
-/// FIFO of slice jobs onto a resident [`FleetPool`], every slice a
-/// `run_with` pass over the next `job_n` global indices of one long
-/// sweep, sharing one set of memo tables. Rows inside the bulk sweep are
-/// checked against its rows; past it, every `sample_every`-th row is
-/// kept for a check against unmemoized runs after the timed region.
-struct SliceService {
-    tx: Option<mpsc::Sender<(usize, Instant)>>,
-    rx: mpsc::Receiver<SliceDone>,
-    handle: Option<JoinHandle<()>>,
-    /// Every completed slice, in completion order (traced runs read the
-    /// queue wait and run time off it).
-    log: Vec<SliceDone>,
-}
-
-impl SliceService {
-    fn start(
-        d: Arc<Deployment>,
-        config: Arc<SweepConfig>,
-        reference: Arc<Vec<ScenarioOutcome>>,
-        plan: &Plan,
-        workers: usize,
-    ) -> (SliceService, Arc<SweepCaches>) {
-        let (job_n, sample_every) = (plan.job_n, plan.sample_every);
-        let caches = Arc::new(SweepCaches::new());
-        let (tx, jobs) = mpsc::channel::<(usize, Instant)>();
-        let (done_tx, rx) = mpsc::channel();
-        let shared = Arc::clone(&caches);
-        let handle = std::thread::spawn(move || {
-            let pool = FleetPool::new(workers);
-            let bound = sweep_bound_ns(&d.spec, &config);
-            let epoch = Instant::now();
-            for (id, submitted) in jobs {
-                let picked = Instant::now();
-                let (first, count) = slice_of(id, job_n);
-                let (d, config, caches, reference) = (
-                    Arc::clone(&d),
-                    Arc::clone(&config),
-                    Arc::clone(&shared),
-                    Arc::clone(&reference),
-                );
-                let (rows, _) = pool.run_with(
-                    count,
-                    move |lane| {
-                        (
-                            WorkerProfile::new(lane, epoch, false),
-                            Histogram::new(bound, SWEEP_BUCKETS),
-                        )
-                    },
-                    move |i, state: &mut (WorkerProfile, Histogram)| {
-                        let (wp, scratch) = state;
-                        let index = first + i;
-                        match run_scenario(&d.spec, &d.base, &config, &caches, index, wp, scratch) {
-                            Ok(r) if index < reference.len() => {
-                                (r.outcome == reference[index], None)
-                            }
-                            Ok(r) if index % sample_every == 0 => (true, Some(r.outcome)),
-                            Ok(_) => (true, None),
-                            Err(_) => (false, None),
-                        }
-                    },
-                );
-                let finished = Instant::now();
-                let ok = rows.iter().all(|r| r.0);
-                let samples = rows.into_iter().filter_map(|r| r.1).collect();
-                if done_tx
-                    .send(SliceDone {
-                        id,
-                        ok,
-                        samples,
-                        submitted,
-                        picked,
-                        finished,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-            }
-        });
-        (
-            SliceService {
-                tx: Some(tx),
-                rx,
-                handle: Some(handle),
-                log: Vec::new(),
-            },
-            caches,
-        )
-    }
-}
-
-impl Service for SliceService {
-    fn submit(&mut self, id: usize) -> Result<(), String> {
-        self.tx
-            .as_ref()
-            .expect("service running")
-            .send((id, Instant::now()))
-            .map_err(|_| "slice executor died".to_string())
-    }
-
-    fn poll(&mut self, deadline: Instant, out: &mut Vec<Completion>) -> Result<(), String> {
-        let wait = deadline.saturating_duration_since(Instant::now());
-        let first = match self.rx.recv_timeout(wait) {
-            Ok(d) => d,
-            Err(mpsc::RecvTimeoutError::Timeout) => return Ok(()),
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return Err("slice executor died".to_string())
-            }
-        };
-        let mut push = |d: SliceDone, log: &mut Vec<SliceDone>| {
-            out.push(Completion {
-                id: d.id,
-                at: d.finished,
-                ok: d.ok,
-            });
-            log.push(d);
-        };
-        push(first, &mut self.log);
-        while let Ok(d) = self.rx.try_recv() {
-            push(d, &mut self.log);
-        }
-        Ok(())
-    }
-}
-
-impl Drop for SliceService {
-    fn drop(&mut self) {
-        self.tx.take();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// The open-loop phase's results.
-struct OpenLoop {
-    low: Level,
-    high: Level,
-    max_rate: openloop::MaxRate,
-    caches: Arc<SweepCaches>,
-    log: Vec<SliceDone>,
-    attempted: usize,
-    failed: usize,
-}
-
-/// Warm-up, the low and high levels and the ladder search.
-fn open_loop(
-    ctx: &Ctx,
-    plan: &Plan,
-    d: &Arc<Deployment>,
-    config: &SweepConfig,
-    reference: &Arc<Vec<ScenarioOutcome>>,
-) -> Result<OpenLoop, String> {
-    if plan.level_n < stats::min_samples_for(0.99, 10) {
-        return Err("a rate level must leave ten samples beyond its p99".into());
-    }
-    let (mut svc, caches) = SliceService::start(
-        Arc::clone(d),
-        Arc::new(config.clone()),
-        Arc::clone(reference),
-        plan,
-        ctx.workers,
-    );
-    let drain = || Instant::now() + Duration::from_secs(20);
-    let mut next_id = 0usize;
-    let mut attempted = 0;
-    let mut failed = 0;
-    let mut level = |svc: &mut SliceService, n: usize, rate: f64| -> Result<Level, String> {
-        ctx.begin(n);
-        let l = openloop::run_level(svc, next_id, n, rate, drain())?;
-        next_id += n;
-        attempted += n;
-        failed += l.failed;
-        ctx.count(n, l.failed);
-        ctx.note(l.describe());
-        Ok(l)
-    };
-    // Warm the memo tables the way a resident service would be warm.
-    level(&mut svc, plan.level_n / 8, plan.low_rate)?;
-    let low = level(&mut svc, plan.level_n, plan.low_rate)?;
-    let high = level(&mut svc, plan.level_n, plan.ladder.rate(plan.high_rung))?;
-    let max_rate = openloop::search_max_rate(
-        plan.ladder,
-        plan.limit_ms,
-        (plan.high_rung, high.probe()),
-        |k| Ok(level(&mut svc, plan.level_n, plan.ladder.rate(k))?.probe()),
-    )?;
-    let log = std::mem::take(&mut svc.log);
-    drop(svc);
-    Ok(OpenLoop {
-        low,
-        high,
-        max_rate,
-        caches,
-        log,
-        attempted,
-        failed,
-    })
-}
-
 /// Bulk sweeps back to back until `budget` has passed (at least
 /// `min_reps`): every repetition must reproduce the first one's summary.
+/// `before` runs ahead of each repetition, outside its timing.
 fn bulk(
     ctx: &Ctx,
     d: &Deployment,
     config: &SweepConfig,
     budget: Duration,
     min_reps: usize,
+    mut before: impl FnMut() -> Result<(), String>,
 ) -> Result<(SweepOutput, Vec<f64>), String> {
     let start = Instant::now();
     let mut first: Option<SweepOutput> = None;
     let mut rates = Vec::new();
     while rates.len() < min_reps || start.elapsed() < budget {
+        before()?;
         ctx.begin(config.scenario_count);
         let t = Unstolen::start();
         let out = run_sweep(&d.spec, &d.base, config);
@@ -526,26 +248,23 @@ fn bulk(
     Ok((first.expect("at least one sweep"), rates))
 }
 
-/// Every memoized co-simulation in `caches` ran with an allocation-free
-/// hot loop.
-fn hot_allocs(caches: &SweepCaches) -> u64 {
-    let ideal = caches.ideal.snapshot();
-    let scheduled = caches.scheduled.snapshot();
-    ideal
-        .iter()
-        .chain(&scheduled)
-        .map(|(_, run)| run.stats.hot_allocs)
-        .sum()
-}
-
 /// Runs a sweep workload untraced and fills the end-to-end metrics.
 pub fn run(ctx: &Ctx, shape: Shape, m: &mut Metrics) -> Result<(), String> {
     let plan = shape.plan();
-    let setup_s = setup_seconds(plan.horizon, 101).map_err(|e| e.to_string())?;
     let d = deployment(plan.horizon).map_err(|e| e.to_string())?;
     let config = shape.config(ctx.seed, plan.bulk_n, ctx.workers);
     let budget = Duration::from_secs_f64(ctx.seconds);
-    let (first, rates) = bulk(ctx, &d, &config, budget, 5)?;
+    // Set-up is timed in rounds of builds ahead of every bulk sweep.
+    // Within a run, whole rounds are either fast (33 us a build) or slow
+    // (55 us) with the host's state, in shares that differ from run to
+    // run, so a median over every build jumps between the two. The mean
+    // of the round medians moves with the share instead.
+    let mut rounds = Vec::new();
+    let (first, rates) = bulk(ctx, &d, &config, budget, 5, || {
+        rounds.push(setup_round(plan.horizon, SETUP_ROUND)?);
+        Ok(())
+    })?;
+    let setup_s = stats::mean(&rounds);
     let rss = crate::peak_rss_mb();
 
     // Output check, outside the timed region.
@@ -565,24 +284,6 @@ pub fn run(ctx: &Ctx, shape: Shape, m: &mut Metrics) -> Result<(), String> {
     m.set("scenarios_per_s", stats::median(&rates), "1/s");
     m.set("setup_s", setup_s, "s");
     m.set("peak_rss_mb", rss, "MB");
-    Ok(())
-}
-
-/// Fills the open-loop metrics of a level pair and a ladder search.
-pub fn open_loop_metrics(
-    low: &Level,
-    high: &Level,
-    max_rate: &openloop::MaxRate,
-    m: &mut Metrics,
-) -> Result<(), String> {
-    let (p50_low, p99_low) = low.p50_p99()?;
-    let (p50_high, p99_high) = high.p50_p99()?;
-    m.set("p50_ms.low", p50_low, "ms");
-    m.set("p99_ms.low", p99_low, "ms");
-    m.set("p50_ms.high", p50_high, "ms");
-    m.set("p99_ms.high", p99_high, "ms");
-    m.set("max_rate_rps", max_rate.rate, "1/s");
-    m.set("gen.lag_ms", high.lag_p99(), "ms");
     Ok(())
 }
 
@@ -714,13 +415,11 @@ pub fn replay_metrics(r: &Replay, caches: &SweepCaches, m: &mut Metrics) {
     m.set("xval.validate_us", get("xval.validate").mean_us(), "us");
 }
 
-/// Runs a sweep workload traced: untraced and traced sweeps alternate
-/// (the summaries must be byte-identical), then the open loop over
-/// sweep slices gives the latency levels, the ladder and the slice
-/// executor's queue wait and run time.
+/// Runs a sweep workload traced: untraced and traced sweeps alternate,
+/// and the summaries must be byte-identical.
 pub fn run_traced(ctx: &Ctx, shape: Shape, m: &mut Metrics) -> Result<(), String> {
     let plan = shape.plan();
-    let d = Arc::new(deployment(plan.horizon).map_err(|e| e.to_string())?);
+    let d = deployment(plan.horizon).map_err(|e| e.to_string())?;
     let config = SweepConfig {
         validate_executive: shape == Shape::Cold,
         ..shape.config(ctx.seed, plan.replay_n, ctx.workers)
@@ -729,6 +428,7 @@ pub fn run_traced(ctx: &Ctx, shape: Shape, m: &mut Metrics) -> Result<(), String
     let mut traced = Vec::new();
     let mut last: Option<(Replay, SweepCaches)> = None;
     for _ in 0..2 {
+        ctx.begin(2 * plan.replay_n);
         let t = Instant::now();
         let out = run_sweep(&d.spec, &d.base, &config).map_err(|e| e.to_string())?;
         plain.push(t.elapsed().as_secs_f64());
@@ -760,49 +460,21 @@ pub fn run_traced(ctx: &Ctx, shape: Shape, m: &mut Metrics) -> Result<(), String
         .join(format!("spans_{}_{}.tsv", ctx.workload, ctx.seed));
     trace::write_tsv(&path, r.lanes.iter().map(|l| &l.rec).chain([&r.fold]))
         .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-
-    // The open loop over slices of the bulk sweep.
-    let bulk_config = shape.config(ctx.seed, plan.bulk_n, ctx.workers);
-    let first = run_sweep(&d.spec, &d.base, &bulk_config).map_err(|e| e.to_string())?;
-    let reference = Arc::new(first.summary.scenarios);
-    let ol = open_loop(ctx, &plan, &d, &bulk_config, &reference)?;
-    let samples: Vec<ScenarioOutcome> = ol.log.iter().flat_map(|s| s.samples.clone()).collect();
-    check_rows(&d, &bulk_config, &samples, ctx.workers)?;
-    let allocs = hot_allocs(&ol.caches);
-    if allocs != 0 {
-        return Err(format!("the sim hot loop allocated {allocs} times"));
-    }
-    if ol.failed > 0 {
-        return Err(format!(
-            "{} of {} open-loop slices failed or disagreed with the bulk rows",
-            ol.failed, ol.attempted
-        ));
-    }
-    ctx.note(format!(
-        "open loop: highest passing rung {}, ladder probes {:?}; {} sampled rows match \
-         unmemoized runs",
-        ol.max_rate.rung,
-        ol.max_rate.probes,
-        samples.len()
-    ));
-    open_loop_metrics(&ol.low, &ol.high, &ol.max_rate, m)?;
-    let ms = |a: Instant, b: Instant| b.saturating_duration_since(a).as_secs_f64() * 1e3;
-    let waits: Vec<f64> = ol.log.iter().map(|s| ms(s.submitted, s.picked)).collect();
-    let runs: Vec<f64> = ol.log.iter().map(|s| ms(s.picked, s.finished)).collect();
-    m.set("serve.queue_wait_ms", stats::mean(&waits), "ms");
-    m.set("serve.run_ms", stats::mean(&runs), "ms");
-    m.set("serve.backlog_max", ol.high.backlog_max as f64, "count");
-    let reports = &ol.caches.reports;
-    m.set(
-        "serve.memo_hit_ratio",
-        reports.hits() as f64 / (reports.hits() + reports.misses()).max(1) as f64,
-        "ratio",
-    );
-    // Layers a sweep workload never enters: no wire, daemon admission
-    // or store calls happen, so their costs read 0.
+    // Layers a sweep workload never enters: no request generator,
+    // daemon, wire or store runs, so their figures read 0.
     for (name, unit) in [
+        ("p50_ms.low", "ms"),
+        ("p99_ms.low", "ms"),
+        ("p50_ms.high", "ms"),
+        ("p99_ms.high", "ms"),
+        ("max_rate_rps", "1/s"),
+        ("gen.lag_ms", "ms"),
         ("serve.ack_ms", "ms"),
         ("serve.admission_us", "us"),
+        ("serve.queue_wait_ms", "ms"),
+        ("serve.run_ms", "ms"),
+        ("serve.backlog_max", "count"),
+        ("serve.memo_hit_ratio", "ratio"),
         ("wire.encode_us", "us"),
         ("wire.decode_us", "us"),
         ("wire.report_bytes", "bytes"),
@@ -814,27 +486,4 @@ pub fn run_traced(ctx: &Ctx, shape: Shape, m: &mut Metrics) -> Result<(), String
         m.set(name, 0.0, unit);
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn slices_tile_the_index_space() {
-        let mut next = 0;
-        let mut large = 0;
-        for id in 0..200 {
-            let (first, count) = slice_of(id, 8);
-            assert_eq!(first, next, "slice {id} leaves a gap or overlaps");
-            next = first + count;
-            if count == 8 * LARGE_FACTOR {
-                large += 1;
-                assert_eq!(id % LARGE_EVERY, LARGE_EVERY - 1);
-            } else {
-                assert_eq!(count, 8);
-            }
-        }
-        assert_eq!(large, 200 / LARGE_EVERY);
-    }
 }
