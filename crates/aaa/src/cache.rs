@@ -309,6 +309,17 @@ impl ScheduleCache {
         Ok((Arc::clone(&slot.schedule), key, false))
     }
 
+    /// Counts `n` more lookups of `digest` answered by a caller that kept
+    /// the schedule it first looked up (a fleet lane's reused sweep
+    /// variant): [`hits`](ScheduleCache::hits) grows by `n`, as if they
+    /// had reached the cache. A digest never looked up or seeded is
+    /// ignored.
+    pub fn note_hits(&self, digest: u64, n: u64) {
+        if let Some(slot) = self.state.lock().expect("cache lock").map.get_mut(&digest) {
+            slot.lookups += n;
+        }
+    }
+
     /// Number of lookups beyond the first of their digest — every lookup
     /// that a serial run would have answered from the cache. Derived from
     /// per-digest lookup counts, so identical for any worker count.

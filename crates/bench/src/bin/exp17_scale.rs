@@ -12,6 +12,11 @@
 //!   answers all but ~10⁻⁴ of the 10⁶ lookups with an `Arc` clone.
 //!   Asserted: one lookup per scenario, misses bounded by the axis
 //!   product, hit rate ≥ 99.9%.
+//! * **Variant reuse** — with the report memo on as well, each pool
+//!   lane resolves every `(WCET table × period × policy)` variant once
+//!   and finishes the rest of its rows from it (DESIGN §7). The lanes
+//!   credit their reuses to the memo tables by digest, so the hit/miss
+//!   counters below read exactly as if every row had looked up.
 //! * **Throughput** — the profiled 4-worker sweep clears 3× the E16
 //!   baseline (`results/BENCH_exp16.json`: 100 000 scenarios in
 //!   25.751 s → 3883.3 scenarios/s), which still ran one full
@@ -63,6 +68,7 @@ fn config(workers: usize) -> SweepConfig {
         trace_scenarios: 0,
         profile: true,
         memoize_scheduled: true,
+        memoize_reports: true,
         ..SweepConfig::default()
     }
 }
@@ -252,12 +258,12 @@ fn check(out: &SweepOutput) {
         out.ideal_misses
     );
     let profile = out.profile.as_ref().expect("profiling was requested");
-    // The memo collapses the named phases to microseconds, so the
-    // pool's fixed per-task bookkeeping (clock reads, span buffers,
+    // Variant reuse collapses a row to a few hundred nanoseconds, so
+    // the pool's fixed per-task bookkeeping (clock reads, span buffers,
     // batch claim/publish) is a legitimately larger slice than at E16's
     // scale — the floor here guards against dropped phases, not
-    // harness overhead. Measured at 10⁶ scenarios: ~83% attributed on
-    // 4 workers, ~72% on 1.
+    // harness overhead. Measured at 10⁶ scenarios on a 2-core host:
+    // ~75% attributed on 4 workers, ~73% on 1.
     let fraction = profile.attributed_fraction();
     assert!(
         fraction >= 0.65,

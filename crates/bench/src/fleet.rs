@@ -5,7 +5,7 @@
 //! perturbed implementations (WCET jitter, mapping policy, sampling
 //! period). This module runs such a Monte-Carlo sweep over the full
 //! adequation → graph-of-delays → co-simulation pipeline on a
-//! self-scheduling pool of `std::thread` workers, with two guarantees:
+//! self-scheduling pool of `std::thread` workers, with these guarantees:
 //!
 //! * **Determinism** — the sweep report is byte-identical regardless of
 //!   worker count. Every scenario derives its PRNG seed from the sweep
@@ -17,6 +17,11 @@
 //!   draw their WCET jitter from a small set of quantized tables
 //!   ([`SweepConfig::wcet_tables`]), so scenarios sharing a table and
 //!   policy present identical adequation inputs and skip the scheduler.
+//! * **No redundant lookups** — with the scheduled and report memos on,
+//!   each pool lane resolves every variant ([`SweepJob::run`]: WCET
+//!   table × period × fault rates × policy) once and finishes its other
+//!   rows from it, crediting the memo tables' counters by digest so they
+//!   read as if every row had looked up.
 //!
 //! With [`SweepConfig::profile`] the sweep additionally records where its
 //! wall time goes: each worker fills a private [`WorkerProfile`] with
@@ -27,6 +32,7 @@
 //! profiling on or off.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -225,7 +231,9 @@ pub struct SweepConfig {
     /// extracted ones (pinned by the byte-identity sweep test), keeping
     /// every deterministic artifact byte-identical with the memo on or
     /// off. Off by default for the same baseline-benchmark reason as
-    /// [`memoize_scheduled`](SweepConfig::memoize_scheduled).
+    /// [`memoize_scheduled`](SweepConfig::memoize_scheduled). With both
+    /// set, sweep lanes also reuse resolved variants
+    /// ([`SweepJob::run`]).
     pub memoize_reports: bool,
     /// Statically prune scenarios by fault-envelope abstract
     /// interpretation: before co-simulating, evaluate the sound
@@ -293,19 +301,58 @@ pub struct Scenario {
     pub proc_dropout_rate: f64,
 }
 
+/// The axes a scenario draws, as indices into its [`SweepConfig`]
+/// lists: WCET table, period scale, the three fault rates and the
+/// (round-robin) mapping policy.
+///
+/// Unless the policy is [`MappingPolicy::Random`] (re-seeded per
+/// scenario), an untraced row is a pure function of this key plus its
+/// `index` and `seed`, which is what lets a sweep lane resolve each
+/// [`Variant`] once (DESIGN §7).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct VariantKey {
+    wcet_table: usize,
+    period_scale: usize,
+    frame_loss: usize,
+    link_outage: usize,
+    proc_dropout: usize,
+    policy: usize,
+}
+
+impl VariantKey {
+    /// Scenario `index`'s seed and key: every draw [`Scenario::derive`]
+    /// makes from the scenario stream, in its order.
+    fn draw(config: &SweepConfig, index: usize) -> (u64, VariantKey) {
+        let seed = scenario_seed(config.base_seed, index);
+        let mut rng = FleetRng::new(seed);
+        let axes = &config.faults;
+        // Struct fields evaluate in written order. Fault rates are drawn
+        // after the historical axes so that an all-zero `FaultAxes`
+        // reproduces pre-fault scenario draws (and hence report bytes)
+        // exactly.
+        let key = VariantKey {
+            wcet_table: rng.below(config.wcet_tables.max(1)),
+            period_scale: rng.below(config.period_scales.len()),
+            frame_loss: rng.below(axes.frame_loss_rates.len()),
+            link_outage: rng.below(axes.link_outage_rates.len()),
+            proc_dropout: rng.below(axes.proc_dropout_rates.len()),
+            policy: index % config.policies.len(),
+        };
+        (seed, key)
+    }
+}
+
 impl Scenario {
     /// Derives scenario `index` of a sweep over `base`.
     pub fn derive(config: &SweepConfig, base: &SplitScenario, index: usize) -> Scenario {
-        let seed = scenario_seed(config.base_seed, index);
-        let mut rng = FleetRng::new(seed);
+        let (seed, key) = VariantKey::draw(config, index);
         // The scenario draws a WCET *table index*; the table's content
         // comes from its own seed stream, independent of the scenario.
         // Scenarios sharing a table therefore present byte-identical
         // timing tables to the scheduler and can share a cached schedule.
-        let wcet_table = rng.below(config.wcet_tables.max(1));
         let mut table_rng = FleetRng::new(scenario_seed(
             config.base_seed ^ WCET_TABLE_SALT,
-            wcet_table,
+            key.wcet_table,
         ));
         // Ops are visited in index order so draws are reproducible; the
         // timing table itself iterates in unspecified (HashMap) order.
@@ -314,28 +361,21 @@ impl Scenario {
             .ops()
             .map(|_| 1.0 + config.wcet_jitter * table_rng.next_f64())
             .collect();
-        let period_scale = config.period_scales[rng.below(config.period_scales.len())];
-        // Fault rates are drawn after the historical axes so that an
-        // all-zero `FaultAxes` reproduces pre-fault scenario draws (and
-        // hence report bytes) exactly.
         let axes = &config.faults;
-        let frame_loss_rate = axes.frame_loss_rates[rng.below(axes.frame_loss_rates.len())];
-        let link_outage_rate = axes.link_outage_rates[rng.below(axes.link_outage_rates.len())];
-        let proc_dropout_rate = axes.proc_dropout_rates[rng.below(axes.proc_dropout_rates.len())];
-        let mut policy = config.policies[index % config.policies.len()];
+        let mut policy = config.policies[key.policy];
         if let MappingPolicy::Random { .. } = policy {
             policy = MappingPolicy::Random { seed };
         }
         Scenario {
             index,
             seed,
-            wcet_table,
+            wcet_table: key.wcet_table,
             wcet_factors,
-            period_scale,
+            period_scale: config.period_scales[key.period_scale],
             policy,
-            frame_loss_rate,
-            link_outage_rate,
-            proc_dropout_rate,
+            frame_loss_rate: axes.frame_loss_rates[key.frame_loss],
+            link_outage_rate: axes.link_outage_rates[key.link_outage],
+            proc_dropout_rate: axes.proc_dropout_rates[key.proc_dropout],
         }
     }
 
@@ -458,8 +498,10 @@ fn claim_batch(count: usize, workers: usize) -> usize {
 /// Like [`map_indexed`], but each worker additionally owns a private
 /// state created by `init(worker_index)` and threaded through every task
 /// it claims; the joined states are returned **in worker-index order**
-/// alongside the results. The fleet profiler rides here: its per-worker
-/// buffers are worker state, so the hot path never writes shared memory.
+/// alongside the results. Per-worker buffers (profiles, scratch
+/// histograms) ride in that state, so the hot path never writes shared
+/// memory; [`FleetPool::run_with`] offers the same contract on resident
+/// threads.
 ///
 /// Workers claim **batches** of consecutive indices ([`claim_batch`])
 /// from the shared counter and publish each batch's results under one
@@ -566,17 +608,42 @@ pub fn workers_from_env() -> Result<Option<usize>, CoreError> {
 /// A boxed unit of pool work.
 type PoolTask = Box<dyn FnOnce() + Send + 'static>;
 
+/// A caught panic payload.
+type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
+
 /// Shared state of one [`FleetPool::run_with`] call: the claim counter,
-/// the index-addressed result slots, the per-lane states and the
-/// completion latch.
+/// the index-addressed result slots, the per-lane states, the first
+/// lane panic and the completion latch.
 struct PoolJob<R, W> {
     count: usize,
     batch: usize,
     next: AtomicUsize,
     slots: Mutex<Vec<Option<R>>>,
     states: Mutex<Vec<Option<W>>>,
+    panic: Mutex<Option<PanicPayload>>,
     remaining: Mutex<usize>,
     done: Condvar,
+}
+
+/// Counts one lane out of its job's latch when dropped — on a normal
+/// return and on unwind alike, so a panicking lane can never leave
+/// [`FleetPool::run_with`] waiting forever.
+struct LatchGuard<'a> {
+    remaining: &'a Mutex<usize>,
+    done: &'a Condvar,
+}
+
+impl Drop for LatchGuard<'_> {
+    fn drop(&mut self) {
+        let mut remaining = self
+            .remaining
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        *remaining -= 1;
+        if *remaining == 0 {
+            self.done.notify_all();
+        }
+    }
 }
 
 /// A resident fleet: long-lived worker threads fed from an MPSC inbox.
@@ -591,7 +658,9 @@ struct PoolJob<R, W> {
 /// sweep sharded over the pool stays byte-identical to one run on scoped
 /// threads. Jobs submitted concurrently interleave at lane granularity;
 /// each lane task runs to completion independently, so no job can
-/// deadlock another.
+/// deadlock another. [`run_sweep`] builds a short-lived pool per call, so
+/// one sweep driver ([`SweepJob::run`]) serves experiments and daemon
+/// alike.
 ///
 /// Dropping the pool closes the inbox and joins every worker.
 pub struct FleetPool {
@@ -650,6 +719,12 @@ impl FleetPool {
     /// completes. Results come back **in index order** and lane states in
     /// lane order — identical aggregation semantics to the scoped-thread
     /// pool, so sweep artifacts cannot depend on which pool ran them.
+    ///
+    /// # Panics
+    ///
+    /// A panic in `init` or `f` stops the job's claiming and, once every
+    /// lane has returned, resumes on the caller's thread. The worker
+    /// threads survive it, so the pool keeps serving later jobs.
     pub fn run_with<R, W, G, F>(&self, count: usize, init: G, f: F) -> (Vec<R>, Vec<W>)
     where
         R: Send + 'static,
@@ -664,6 +739,7 @@ impl FleetPool {
             next: AtomicUsize::new(0),
             slots: Mutex::new((0..count).map(|_| None).collect()),
             states: Mutex::new((0..lanes).map(|_| None).collect()),
+            panic: Mutex::new(None),
             remaining: Mutex::new(lanes),
             done: Condvar::new(),
         });
@@ -676,27 +752,37 @@ impl FleetPool {
             let f = Arc::clone(&f);
             sender
                 .send(Box::new(move || {
-                    let mut state = init(lane);
-                    let mut local: Vec<(usize, R)> = Vec::with_capacity(job.batch);
-                    loop {
-                        let start = job.next.fetch_add(job.batch, Ordering::Relaxed);
-                        if start >= job.count {
-                            break;
+                    let _latch = LatchGuard {
+                        remaining: &job.remaining,
+                        done: &job.done,
+                    };
+                    let run = catch_unwind(AssertUnwindSafe(|| {
+                        let mut state = init(lane);
+                        let mut local: Vec<(usize, R)> = Vec::with_capacity(job.batch);
+                        loop {
+                            let start = job.next.fetch_add(job.batch, Ordering::Relaxed);
+                            if start >= job.count {
+                                break;
+                            }
+                            let end = (start + job.batch).min(job.count);
+                            for i in start..end {
+                                local.push((i, f(i, &mut state)));
+                            }
+                            let mut slots = job.slots.lock().expect("pool result slots");
+                            for (i, r) in local.drain(..) {
+                                slots[i] = Some(r);
+                            }
                         }
-                        let end = (start + job.batch).min(job.count);
-                        for i in start..end {
-                            local.push((i, f(i, &mut state)));
-                        }
-                        let mut slots = job.slots.lock().expect("pool result slots");
-                        for (i, r) in local.drain(..) {
-                            slots[i] = Some(r);
-                        }
-                    }
-                    job.states.lock().expect("pool lane states")[lane] = Some(state);
-                    let mut remaining = job.remaining.lock().expect("pool latch");
-                    *remaining -= 1;
-                    if *remaining == 0 {
-                        job.done.notify_all();
+                        job.states.lock().expect("pool lane states")[lane] = Some(state);
+                    }));
+                    if let Err(payload) = run {
+                        // Stop the other lanes claiming; the first panic
+                        // is the one the caller sees.
+                        job.next.store(job.count, Ordering::Relaxed);
+                        job.panic
+                            .lock()
+                            .unwrap_or_else(std::sync::PoisonError::into_inner)
+                            .get_or_insert(payload);
                     }
                 }))
                 .expect("fleet pool worker hung up");
@@ -706,19 +792,19 @@ impl FleetPool {
             remaining = job.done.wait(remaining).expect("pool latch");
         }
         drop(remaining);
-        let results = job
-            .slots
-            .lock()
-            .expect("pool result slots")
-            .iter_mut()
-            .map(|r| r.take().expect("every index produced a result"))
+        if let Some(payload) = job.panic.lock().expect("pool panic slot").take() {
+            resume_unwind(payload);
+        }
+        // Moving the slots out lets the collect reuse their buffer in
+        // place instead of holding a second copy of every result.
+        let slots = std::mem::take(&mut *job.slots.lock().expect("pool result slots"));
+        let results = slots
+            .into_iter()
+            .map(|r| r.expect("every index produced a result"))
             .collect();
-        let states = job
-            .states
-            .lock()
-            .expect("pool lane states")
-            .iter_mut()
-            .map(|s| s.take().expect("every lane parked its state"))
+        let states = std::mem::take(&mut *job.states.lock().expect("pool lane states"))
+            .into_iter()
+            .map(|s| s.expect("every lane parked its state"))
             .collect();
         (results, states)
     }
@@ -876,6 +962,22 @@ impl ReportCache {
             .or_insert_with(|| ReportSlot { entry, lookups: 0 });
         slot.lookups += 1;
         Ok((Arc::clone(&slot.entry), false))
+    }
+
+    /// Counts `n` more lookups of `digest` answered by a caller that kept
+    /// the entry it first looked up (a fleet lane's reused variant):
+    /// [`hits`](ReportCache::hits) grows by `n`, as if they had reached
+    /// the table. A digest never looked up is ignored.
+    pub fn note_hits(&self, digest: u64, n: u64) {
+        if let Some(slot) = self
+            .state
+            .lock()
+            .expect("report memo lock")
+            .map
+            .get_mut(&digest)
+        {
+            slot.lookups += n;
+        }
     }
 
     /// Lookups beyond the first of their digest — derived from per-digest
@@ -1110,12 +1212,14 @@ fn push_memo_spans(
     }
 }
 
-/// One untraced graph-of-delays co-simulation with its profile spans.
-/// With [`SweepConfig::memoize_scheduled`] the lookup goes through the
-/// shared [`ScheduledRunCache`] and reports on the profiler's memo
-/// channel; without it the co-simulation runs fresh — the pre-memo
-/// fleet pipeline, kept for baseline benchmarks and for the
-/// byte-identity tests that pin the memoized artifacts against it.
+/// One untraced graph-of-delays co-simulation with its profile spans,
+/// plus the [`cosim::scheduled_run_digest`] of its inputs (the base of
+/// its report-memo key). With [`SweepConfig::memoize_scheduled`] the
+/// lookup goes through the shared [`ScheduledRunCache`], which computes
+/// that digest anyway, and reports on the profiler's memo channel;
+/// without it the co-simulation runs fresh — the pre-memo fleet
+/// pipeline, kept for baseline benchmarks and for the byte-identity
+/// tests that pin the memoized artifacts against it.
 #[allow(clippy::too_many_arguments)]
 fn scheduled_cosim(
     config: &SweepConfig,
@@ -1127,7 +1231,7 @@ fn scheduled_cosim(
     plan: Option<&FaultPlan>,
     index: usize,
     wp: &mut WorkerProfile,
-) -> Result<Arc<LoopResult>, CoreError> {
+) -> Result<(Arc<LoopResult>, u64), CoreError> {
     let t0 = wp.now_ns();
     if config.memoize_scheduled {
         let (run, key, hit, phases) = scheduled_memo.get_or_run_phased(
@@ -1141,7 +1245,7 @@ fn scheduled_cosim(
         )?;
         wp.memo_event(index, key, hit);
         push_memo_spans(wp, index, t0, hit, phases);
-        Ok(run)
+        Ok((run, key))
     } else {
         let (run, phases) = cosim::run_scheduled_phased(
             spec2,
@@ -1152,23 +1256,8 @@ fn scheduled_cosim(
             plan.cloned(),
         )?;
         push_cosim_spans(wp, index, t0, phases);
-        Ok(Arc::new(run))
-    }
-}
-
-/// The latency report a scenario's verification phase reads: freshly
-/// extracted, or shared out of the [`ReportCache`].
-enum ScenarioReport {
-    Fresh(LatencyReport),
-    Cached(Arc<ReportEntry>),
-}
-
-impl ScenarioReport {
-    fn get(&self) -> &LatencyReport {
-        match self {
-            ScenarioReport::Fresh(report) => report,
-            ScenarioReport::Cached(entry) => &entry.report,
-        }
+        let key = cosim::scheduled_run_digest(spec2, schedule_digest, plan);
+        Ok((Arc::new(run), key))
     }
 }
 
@@ -1203,271 +1292,409 @@ fn build_report_entry(
     })
 }
 
-/// Runs one scenario end to end: jitter → (cached) adequation →
-/// (memoized) graph-of-delays co-simulation → metrics. With
-/// [`SweepConfig::memoize_scheduled`], untraced co-simulations are
-/// answered by the shared [`ScheduledRunCache`] keyed on the
-/// `(loop × schedule × fault-plan)` digest — two scenarios that price
-/// to the same key share one simulation and clone the `Arc`. A scenario with fault rates
-/// also runs its fault-free twin on the same schedule and returns the
-/// degradation delta between the two. With
-/// [`SweepConfig::validate_executive`] it additionally executes the
-/// generated executives on the virtual machine and returns
-/// `(is_exact, max divergence ns)` against the delay-graph prediction.
-///
-/// Every stage is wrapped in a [`WorkerProfile`] phase; with profiling
-/// off the wrappers are branch-only no-ops and the computation is the
-/// same expression either way, so results cannot depend on the flag.
-///
-/// `scratch` is the worker's reused actuation histogram (created once
-/// per worker at the [`sweep_bound_ns`]/[`SWEEP_BUCKETS`] shape): the
-/// scenario's latencies are recorded (or, on a report-memo hit, merged)
-/// into it in place, so the hot loop allocates no per-scenario
-/// histograms. `index` is a *global* scenario index — seeds, labels and
-/// trace prefixes derive from it — which is how a daemon shards one
-/// logical sweep into chunks without perturbing a single byte.
-#[allow(clippy::too_many_arguments)]
-pub fn run_scenario(
+/// The Metrics-phase yield of `run`: shared out of the [`ReportCache`]
+/// under `key` when one is given, freshly extracted otherwise.
+fn run_metrics(
+    reports: &ReportCache,
+    run: &LoopResult,
+    key: Option<u64>,
+    lenient: bool,
+    bound_ns: i64,
+) -> Result<Arc<ReportEntry>, CoreError> {
+    match key {
+        Some(key) => reports
+            .get_or_build(key, || build_report_entry(run, lenient, bound_ns))
+            .map(|(entry, _local_hit)| entry),
+        None => build_report_entry(run, lenient, bound_ns).map(Arc::new),
+    }
+}
+
+/// What every row of one [`VariantKey`] shares, resolved once by
+/// [`resolve_variant`]: the jittered WCET table, the (cached) schedule,
+/// the loop at the drawn period (stretched to fit the makespan), the
+/// fault-envelope verdict and — unless that verdict decided the row —
+/// the ideal reference and the fault-free run. [`finish_row`] adds what
+/// depends on a row's `index` and `seed`.
+#[derive(Debug)]
+struct Variant {
+    /// The scenario that resolved the variant. Its `index` and `seed`
+    /// belong to that row alone; [`finish_row`] never reads them.
+    scenario: Scenario,
+    /// The row label, with its `pruned:` suffix on a conclusive verdict.
+    label: String,
+    spec2: LoopSpec,
+    periods: u32,
+    schedule: Arc<Schedule>,
+    schedule_digest: u64,
+    makespan_ns: i64,
+    /// The fault-envelope verdict (pruning on, untraced rows only).
+    prune: Option<ecl_verify::EnvelopeVerdict>,
+    resolved: Resolved,
+}
+
+/// How the rows of a [`Variant`] are priced.
+#[derive(Debug)]
+enum Resolved {
+    /// A conclusive envelope verdict: the row is derived statically.
+    Pruned {
+        worst_actuation_ns: i64,
+        overruns: usize,
+    },
+    /// The row co-simulates against this ideal reference.
+    Simulated {
+        ideal: Arc<LoopResult>,
+        ideal_digest: u64,
+        nominal: Nominal,
+    },
+}
+
+/// The fault-free run of a simulated [`Variant`].
+#[derive(Debug)]
+enum Nominal {
+    /// A fault-free row's own run and scheduled-run digest, with its
+    /// metrics and the report-memo key they were looked up under.
+    Row {
+        run: Arc<LoopResult>,
+        digest: u64,
+        metrics: Arc<ReportEntry>,
+        report_key: Option<u64>,
+    },
+    /// The fault-free twin a faulty row degrades against.
+    Twin { run: Arc<LoopResult>, digest: u64 },
+    /// A traced fault-free row: its run carries the row's `s<i>:` trace
+    /// prefix, so [`finish_row`] runs it.
+    Traced,
+}
+
+impl Variant {
+    /// Records the memo lookups a reused row stands in for on the
+    /// profiler's cache and memo channels.
+    fn note_lookups(&self, wp: &mut WorkerProfile, index: usize) {
+        wp.cache_event(index, self.schedule_digest, true);
+        if let Resolved::Simulated {
+            nominal: Nominal::Row { digest, .. } | Nominal::Twin { digest, .. },
+            ..
+        } = &self.resolved
+        {
+            wp.memo_event(index, *digest, true);
+        }
+    }
+
+    /// Credits `hits` reuses of this variant to the memo tables it
+    /// looked up, by digest — the lookups those rows stand in for.
+    fn credit(&self, caches: &SweepCaches, hits: u64) {
+        caches.schedule.note_hits(self.schedule_digest, hits);
+        let Resolved::Simulated {
+            ideal_digest,
+            nominal,
+            ..
+        } = &self.resolved
+        else {
+            return;
+        };
+        caches.ideal.note_hits(*ideal_digest, hits);
+        match nominal {
+            Nominal::Row {
+                digest, report_key, ..
+            } => {
+                caches.scheduled.note_hits(*digest, hits);
+                if let Some(key) = report_key {
+                    caches.reports.note_hits(*key, hits);
+                }
+            }
+            Nominal::Twin { digest, .. } => caches.scheduled.note_hits(*digest, hits),
+            Nominal::Traced => {}
+        }
+    }
+}
+
+/// Resolves scenario `index`'s [`Variant`]: jitter → (cached)
+/// adequation → fault-envelope verdict → (memoized) ideal run →
+/// (memoized) fault-free co-simulation and, for a fault-free row, its
+/// metrics.
+fn resolve_variant(
     spec: &LoopSpec,
     base: &SplitScenario,
     config: &SweepConfig,
     caches: &SweepCaches,
+    bound: i64,
     index: usize,
     wp: &mut WorkerProfile,
-    scratch: &mut Histogram,
-) -> Result<ScenarioRecord, CoreError> {
-    let (scenario, db, mut spec2) = wp.phase(index, Phase::Derive, |_| {
+) -> Result<Variant, CoreError> {
+    let (scenario, mut label, db, mut spec2) = wp.phase(index, Phase::Derive, |_| {
         let scenario = Scenario::derive(config, base, index);
+        let label = scenario.label();
         let db = scenario.jittered_db(base);
         // The spec clone allocates the loop matrices, so it belongs to
         // the derivation phase, not to unattributed overhead.
         let mut spec2 = spec.clone();
         spec2.ts = spec.ts * scenario.period_scale;
-        (scenario, db, spec2)
+        (scenario, label, db, spec2)
     });
     let options = AdequationOptions {
         policy: scenario.policy,
     };
-    let (schedule, digest, hit) = wp.phase(index, Phase::Adequation, |_| {
+    let (schedule, schedule_digest, hit) = wp.phase(index, Phase::Adequation, |_| {
         caches
             .schedule
             .get_or_compute_traced(&base.alg, &base.arch, &db, options)
             .map_err(CoreError::from)
     })?;
-    wp.cache_event(index, digest, hit);
+    wp.cache_event(index, schedule_digest, hit);
 
     // The delay-graph builder rejects makespan > period; a badly jittered
     // schedule stretches the period just enough (deterministically).
-    let makespan_s = schedule.makespan().as_secs_f64();
+    let makespan = schedule.makespan();
+    let makespan_s = makespan.as_secs_f64();
     if makespan_s > spec2.ts {
         spec2.ts = makespan_s * 1.05;
     }
+    let periods = (spec2.horizon / spec2.ts).floor().max(1.0) as u32;
 
     let traced = index < config.trace_scenarios;
-    // Static pruning: evaluate the sound completion envelope of the
-    // scenario's whole fault *family* before running anything. The
-    // verdict is a pure function of `(config, index)` — no PRNG state
-    // beyond the scenario derivation, no shared caches — so pruned rows
-    // are byte-stable for any worker count. Conclusive verdicts return
-    // a statically derived row; inconclusive ones fall through to the
-    // full pipeline and are counted as simulated.
-    let prune = if config.prune_static && !traced {
-        let family = FaultFamily::from_config(&scenario.fault_config(&config.faults));
-        let period = TimeNs::from_secs_f64(spec2.ts);
-        let envelope = wp.phase(index, Phase::Envelope, |_| {
-            ecl_verify::fault_envelope(&base.alg, &base.arch, &schedule, period, &family, None)
-        });
-        let verdict = envelope.verdict();
-        if verdict != ecl_verify::EnvelopeVerdict::Inconclusive {
-            let overruns = if verdict == ecl_verify::EnvelopeVerdict::Unsafe {
-                // Every period's actuation can land past the deadline.
-                (spec2.horizon / spec2.ts).floor().max(1.0) as usize
+    let mut prune = None;
+    let resolved = 'resolved: {
+        // Static pruning: evaluate the sound completion envelope of the
+        // scenario's whole fault *family* before running anything. The
+        // verdict is a pure function of (schedule × period × family), so
+        // pruned rows are byte-stable for any worker count. Conclusive
+        // verdicts derive the row statically; inconclusive ones fall
+        // through to the full pipeline and are counted as simulated.
+        if config.prune_static && !traced {
+            let family = FaultFamily::from_config(&scenario.fault_config(&config.faults));
+            let period = TimeNs::from_secs_f64(spec2.ts);
+            let envelope = wp.phase(index, Phase::Envelope, |_| {
+                ecl_verify::fault_envelope(&base.alg, &base.arch, &schedule, period, &family, None)
+            });
+            let verdict = envelope.verdict();
+            prune = Some(verdict);
+            if verdict != ecl_verify::EnvelopeVerdict::Inconclusive {
+                let overruns = if verdict == ecl_verify::EnvelopeVerdict::Unsafe {
+                    // Every period's actuation can land past the deadline.
+                    periods as usize
+                } else {
+                    0
+                };
+                label.push_str(if verdict == ecl_verify::EnvelopeVerdict::Safe {
+                    " pruned:safe"
+                } else {
+                    " pruned:unsafe"
+                });
+                break 'resolved Resolved::Pruned {
+                    worst_actuation_ns: envelope.max_actuation_hi().as_nanos(),
+                    overruns,
+                };
+            }
+        }
+
+        // The stroboscopic reference is pure in `spec2` — and `spec2`
+        // varies only in its period across the sweep — so it is memoized
+        // by content digest: one simulation per distinct period.
+        let (ideal, ideal_digest, _) = wp.phase(index, Phase::IdealSim, |_| {
+            caches.ideal.get_or_run_traced(&spec2)
+        })?;
+        let nominal = if traced && !scenario.has_faults() {
+            Nominal::Traced
+        } else {
+            // Faulty scenarios compare against this fault-free twin on
+            // the same schedule; fault-free ones report it.
+            let (run, digest) = scheduled_cosim(
+                config,
+                &caches.scheduled,
+                &spec2,
+                base,
+                &schedule,
+                schedule_digest,
+                None,
+                index,
+                wp,
+            )?;
+            if scenario.has_faults() {
+                Nominal::Twin { run, digest }
             } else {
-                0
-            };
-            let suffix = if verdict == ecl_verify::EnvelopeVerdict::Safe {
-                "safe"
-            } else {
-                "unsafe"
-            };
+                let report_key = config.memoize_reports.then(|| report_digest(digest, bound));
+                let metrics = wp.phase(index, Phase::Metrics, |_| {
+                    run_metrics(&caches.reports, &run, report_key, false, bound)
+                })?;
+                Nominal::Row {
+                    run,
+                    digest,
+                    metrics,
+                    report_key,
+                }
+            }
+        };
+        Resolved::Simulated {
+            ideal,
+            ideal_digest,
+            nominal,
+        }
+    };
+    Ok(Variant {
+        scenario,
+        label,
+        spec2,
+        periods,
+        schedule,
+        schedule_digest,
+        makespan_ns: makespan.as_nanos(),
+        prune,
+        resolved,
+    })
+}
+
+/// Finishes row `index` (seed `seed`) from its resolved [`Variant`]: the
+/// per-seed fault plan, faulty run and degradation, a traced run, the
+/// histogram merge and outcome, and the executive and static checks.
+#[allow(clippy::too_many_arguments)]
+fn finish_row(
+    variant: &Variant,
+    base: &SplitScenario,
+    config: &SweepConfig,
+    caches: &SweepCaches,
+    bound: i64,
+    index: usize,
+    seed: u64,
+    wp: &mut WorkerProfile,
+    scratch: &mut Histogram,
+) -> Result<ScenarioRecord, CoreError> {
+    let schedule = &*variant.schedule;
+    let spec2 = &variant.spec2;
+    let (ideal, nominal) = match &variant.resolved {
+        Resolved::Pruned {
+            worst_actuation_ns,
+            overruns,
+        } => {
             return Ok(ScenarioRecord {
                 outcome: ScenarioOutcome {
                     index,
-                    seed: scenario.seed,
-                    label: format!("{} pruned:{suffix}", scenario.label()),
+                    seed,
+                    label: variant.label.clone(),
                     cost: 0.0,
                     cost_ratio: 0.0,
-                    makespan_ns: schedule.makespan().as_nanos(),
-                    worst_actuation_ns: envelope.max_actuation_hi().as_nanos(),
-                    overruns,
+                    makespan_ns: variant.makespan_ns,
+                    worst_actuation_ns: *worst_actuation_ns,
+                    overruns: *overruns,
                 },
                 degradation: None,
                 traces: RecordingSink::default(),
                 validation: None,
                 verification: None,
-                prune: Some(verdict),
-                schedule_digest: digest,
+                prune: variant.prune,
+                schedule_digest: variant.schedule_digest,
             });
         }
-        Some(verdict)
-    } else {
-        None
+        Resolved::Simulated { ideal, nominal, .. } => (ideal, nominal),
     };
 
-    // The stroboscopic reference is pure in `spec2` — and `spec2` varies
-    // only in its period across the sweep — so it is memoized by content
-    // digest: one simulation per distinct period, everything else is an
-    // `Arc` clone out of the shared table.
-    let ideal = wp.phase(index, Phase::IdealSim, |_| caches.ideal.get_or_run(&spec2))?;
-    let periods = (spec2.horizon / spec2.ts).floor().max(1.0) as u32;
-    // The plan is a pure function of (config, schedule, arch, periods),
-    // so the co-simulation and the virtual executive below are driven by
-    // byte-identical fault fates.
-    let plan = scenario
-        .has_faults()
-        .then(|| {
-            wp.phase(index, Phase::FaultPlan, |_| {
-                FaultPlan::generate(
-                    &scenario.fault_config(&config.faults),
-                    &schedule,
-                    &base.arch,
-                    periods,
-                )
-            })
-        })
-        .transpose()?;
-    let (run, degradation, sink) = if let Some(plan) = &plan {
-        // Faulty scenarios compare against a fault-free twin on the same
-        // schedule; they never contribute telemetry traces (tracing the
-        // degraded replay would double the sink for no new information).
-        let baseline = scheduled_cosim(
-            config,
-            &caches.scheduled,
-            &spec2,
-            base,
-            &schedule,
-            digest,
-            None,
-            index,
-            wp,
-        )?;
-        let faulty = scheduled_cosim(
-            config,
-            &caches.scheduled,
-            &spec2,
-            base,
-            &schedule,
-            digest,
-            Some(plan),
-            index,
-            wp,
-        )?;
-        let degradation = wp.phase(index, Phase::Metrics, |_| {
-            DegradationSummary::from_runs(index, plan, &baseline, &faulty, config.cost_bound_ratio)
-        })?;
-        (faulty, Some(degradation), RecordingSink::default())
-    } else if traced {
-        // The traced driver interleaves synthesis, timeline emission and
-        // simulation, so the whole run is attributed to co-simulation.
-        let (run, sink) = wp.phase(index, Phase::Cosim, |_| {
-            let sink = PrefixSink::new(format!("s{index}:"), RecordingSink::default());
-            let mut tel = Collector::new(sink);
-            let run = cosim::run_scheduled_traced(
-                &spec2, &base.alg, &base.io, &schedule, &base.arch, &mut tel,
+    let traced = index < config.trace_scenarios;
+    let mut plan = None;
+    let mut degradation = None;
+    let mut traces = RecordingSink::default();
+    // A fault-free row borrows its variant's run and metrics; the other
+    // rows own theirs.
+    let owned: (Arc<LoopResult>, Arc<ReportEntry>);
+    let (run, metrics) = match nominal {
+        Nominal::Row { run, metrics, .. } => (run, metrics),
+        Nominal::Twin { run: twin, .. } => {
+            // The plan is a pure function of (seed, rates, schedule,
+            // arch, periods), so the co-simulation and the virtual
+            // executive below are driven by byte-identical fault fates.
+            let faults = FaultConfig {
+                seed,
+                ..variant.scenario.fault_config(&config.faults)
+            };
+            let plan = &*plan.insert(wp.phase(index, Phase::FaultPlan, |_| {
+                FaultPlan::generate(&faults, schedule, &base.arch, variant.periods)
+            })?);
+            let (faulty, digest) = scheduled_cosim(
+                config,
+                &caches.scheduled,
+                spec2,
+                base,
+                schedule,
+                variant.schedule_digest,
+                Some(plan),
+                index,
+                wp,
             )?;
-            // Surface the hot-loop engine counters into the same stream:
-            // sim-derived, deterministic, stamped at the horizon.
-            let horizon_ns = TimeNs::from_secs_f64(spec2.horizon).as_nanos();
-            for ev in run.stats_events(horizon_ns) {
-                tel.emit(|| ev);
-            }
-            Ok::<_, CoreError>((run, tel.into_sink().into_inner()))
-        })?;
-        (Arc::new(run), None, sink)
-    } else {
-        let run = scheduled_cosim(
-            config,
-            &caches.scheduled,
-            &spec2,
-            base,
-            &schedule,
-            digest,
-            None,
-            index,
-            wp,
-        )?;
-        (run, None, RecordingSink::default())
+            degradation = Some(wp.phase(index, Phase::Metrics, |_| {
+                DegradationSummary::from_runs(index, plan, twin, &faulty, config.cost_bound_ratio)
+            })?);
+            // Forced rendezvous under faults legitimately pushes sampling
+            // past its period, so degraded runs are measured leniently.
+            let key = (config.memoize_reports && !traced).then(|| report_digest(digest, bound));
+            let metrics = wp.phase(index, Phase::Metrics, |_| {
+                run_metrics(&caches.reports, &faulty, key, true, bound)
+            })?;
+            owned = (faulty, metrics);
+            (&owned.0, &owned.1)
+        }
+        Nominal::Traced => {
+            // The traced driver interleaves synthesis, timeline emission
+            // and simulation, so the whole run is attributed to
+            // co-simulation.
+            let (run, sink) = wp.phase(index, Phase::Cosim, |_| {
+                let sink = PrefixSink::new(format!("s{index}:"), RecordingSink::default());
+                let mut tel = Collector::new(sink);
+                let run = cosim::run_scheduled_traced(
+                    spec2, &base.alg, &base.io, schedule, &base.arch, &mut tel,
+                )?;
+                // Surface the hot-loop engine counters into the same
+                // stream: sim-derived, deterministic, stamped at the
+                // horizon.
+                let horizon_ns = TimeNs::from_secs_f64(spec2.horizon).as_nanos();
+                for ev in run.stats_events(horizon_ns) {
+                    tel.emit(|| ev);
+                }
+                Ok::<_, CoreError>((run, tel.into_sink().into_inner()))
+            })?;
+            traces = sink;
+            let metrics = wp.phase(index, Phase::Metrics, |_| {
+                run_metrics(&caches.reports, &run, None, false, bound)
+            })?;
+            owned = (Arc::new(run), metrics);
+            (&owned.0, &owned.1)
+        }
     };
 
-    let bound = sweep_bound_ns(spec, config);
-    let (outcome, report) = wp.phase(index, Phase::Metrics, |_| {
-        // Forced rendezvous under faults legitimately pushes sampling
-        // past its period, so degraded runs are measured leniently.
-        let lenient = scenario.has_faults();
-        let outcome_for = |worst: i64, overruns: usize| ScenarioOutcome {
+    let outcome = wp.phase(index, Phase::Metrics, |_| {
+        scratch.merge(&metrics.hist);
+        ScenarioOutcome {
             index,
-            seed: scenario.seed,
-            label: scenario.label(),
+            seed,
+            label: variant.label.clone(),
             cost: run.cost,
             cost_ratio: run.cost / ideal.cost,
-            makespan_ns: schedule.makespan().as_nanos(),
-            worst_actuation_ns: worst,
-            overruns,
-        };
-        if config.memoize_reports && !traced {
-            let key = report_digest(
-                cosim::scheduled_run_digest(&spec2, digest, plan.as_ref()),
-                bound,
-            );
-            let (entry, _local_hit) = caches
-                .reports
-                .get_or_build(key, || build_report_entry(&run, lenient, bound))?;
-            scratch.merge(&entry.hist);
-            Ok::<_, CoreError>((
-                outcome_for(entry.worst_actuation_ns, entry.overruns),
-                ScenarioReport::Cached(entry),
-            ))
-        } else {
-            let report = if lenient {
-                run.latency_report_lenient()?
-            } else {
-                run.latency_report()?
-            };
-            let mut worst = 0i64;
-            for series in &report.actuation {
-                for &v in series.values() {
-                    scratch.record(v.as_nanos());
-                    worst = worst.max(v.as_nanos());
-                }
-            }
-            let overruns = report.total_overruns();
-            Ok((outcome_for(worst, overruns), ScenarioReport::Fresh(report)))
+            makespan_ns: variant.makespan_ns,
+            worst_actuation_ns: metrics.worst_actuation_ns,
+            overruns: metrics.overruns,
         }
-    })?;
+    });
 
     // Measured-vs-modeled cross-validation: execute the generated
     // executives on the virtual machine under the *same* fault plan the
     // co-simulation used, and diff completion instants op by op.
+    let period = TimeNs::from_secs_f64(spec2.ts);
+    let periods = variant.periods;
     let validation = if config.validate_executive {
         wp.phase(index, Phase::Validation, |_| {
             let generated =
-                codegen::generate(&schedule, &base.alg, &base.arch).map_err(CoreError::from)?;
-            let period = TimeNs::from_secs_f64(spec2.ts);
+                codegen::generate(schedule, &base.alg, &base.arch).map_err(CoreError::from)?;
             let opts = ExecOptions {
                 period,
                 periods,
                 faults: plan.as_ref(),
             };
-            let measured =
-                ecl_exec::run(&generated, &base.arch, &schedule, &opts).map_err(|e| {
-                    CoreError::InvalidInput {
-                        reason: format!("virtual executive of scenario {index}: {e}"),
-                    }
-                })?;
+            let measured = ecl_exec::run(&generated, &base.arch, schedule, &opts).map_err(|e| {
+                CoreError::InvalidInput {
+                    reason: format!("virtual executive of scenario {index}: {e}"),
+                }
+            })?;
             let predicted = xval::predict_op_completions(
                 &base.alg,
                 &base.arch,
-                &schedule,
+                schedule,
                 period,
                 periods,
                 plan.as_ref(),
@@ -1484,9 +1711,11 @@ pub fn run_scenario(
     // dominate every latency the co-simulation measured.
     let verification = if config.verify_static {
         wp.phase(index, Phase::Verification, |_| {
-            let period = TimeNs::from_secs_f64(spec2.ts);
+            // Rebuilt here rather than kept in the variant: only verifying
+            // sweeps read it, and it is cheap next to the passes.
+            let db = variant.scenario.jittered_db(base);
             let vreport =
-                ecl_verify::verify(&base.alg, &base.arch, &db, &schedule, period, plan.as_ref())
+                ecl_verify::verify(&base.alg, &base.arch, &db, schedule, period, plan.as_ref())
                     .map_err(CoreError::from)?;
             let bounds = vreport
                 .bounds
@@ -1499,7 +1728,7 @@ pub fn run_scenario(
                 None
             } else {
                 let mut margin: Option<i64> = None;
-                let rep = report.get();
+                let rep = &metrics.report;
                 let sensors = base.io.sensors.iter().zip(&rep.sampling);
                 let actuators = base.io.actuators.iter().zip(&rep.actuation);
                 for (op, series) in sensors.chain(actuators) {
@@ -1524,12 +1753,268 @@ pub fn run_scenario(
     Ok(ScenarioRecord {
         outcome,
         degradation,
-        traces: sink,
+        traces,
         validation,
         verification,
-        prune,
-        schedule_digest: digest,
+        prune: variant.prune,
+        schedule_digest: variant.schedule_digest,
     })
+}
+
+/// Runs one scenario end to end — the reference path every sweep row is
+/// pinned against: `resolve_variant` (jitter → (cached) adequation →
+/// envelope → (memoized) ideal and graph-of-delays co-simulation →
+/// metrics), then `finish_row`. With
+/// [`SweepConfig::memoize_scheduled`], untraced co-simulations are
+/// answered by the shared [`ScheduledRunCache`] keyed on the
+/// `(loop × schedule × fault-plan)` digest — two scenarios that price to
+/// the same key share one simulation and clone the `Arc`. A scenario
+/// with fault rates also runs its fault-free twin on the same schedule
+/// and returns the degradation delta between the two. With
+/// [`SweepConfig::validate_executive`] it additionally executes the
+/// generated executives on the virtual machine and returns
+/// `(is_exact, max divergence ns)` against the delay-graph prediction.
+///
+/// Every stage is wrapped in a [`WorkerProfile`] phase; with profiling
+/// off the wrappers are branch-only no-ops and the computation is the
+/// same expression either way, so results cannot depend on the flag.
+///
+/// `scratch` is the worker's reused actuation histogram (created once
+/// per worker at the [`sweep_bound_ns`]/[`SWEEP_BUCKETS`] shape): the
+/// scenario's bucketed latencies are merged into it in place. `index` is
+/// a *global* scenario index — seeds, labels and trace prefixes derive
+/// from it — which is how a daemon shards one logical sweep into chunks
+/// without perturbing a single byte.
+#[allow(clippy::too_many_arguments)]
+pub fn run_scenario(
+    spec: &LoopSpec,
+    base: &SplitScenario,
+    config: &SweepConfig,
+    caches: &SweepCaches,
+    index: usize,
+    wp: &mut WorkerProfile,
+    scratch: &mut Histogram,
+) -> Result<ScenarioRecord, CoreError> {
+    let bound = sweep_bound_ns(spec, config);
+    let variant = resolve_variant(spec, base, config, caches, bound, index, wp)?;
+    let seed = variant.scenario.seed;
+    finish_row(
+        &variant, base, config, caches, bound, index, seed, wp, scratch,
+    )
+}
+
+/// Runs scenario `index`'s work, turning a panic into a typed error for
+/// that index alone.
+fn contain<T>(index: usize, work: impl FnOnce() -> Result<T, CoreError>) -> Result<T, CoreError> {
+    catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        Err(CoreError::ScenarioPanicked { index, message })
+    })
+}
+
+/// One sweep as a [`FleetPool`] runs it: the deployment, the
+/// configuration and the memo tables every lane shares. [`run_sweep`]
+/// builds one per call over fresh tables; a daemon builds one per job
+/// over its resident tables.
+#[derive(Clone)]
+pub struct SweepJob {
+    /// The control loop.
+    pub spec: Arc<LoopSpec>,
+    /// The deployment the loop runs on.
+    pub base: Arc<SplitScenario>,
+    /// What the sweep varies.
+    pub config: Arc<SweepConfig>,
+    /// The memo tables the sweep reads and fills.
+    pub caches: Arc<SweepCaches>,
+}
+
+/// What a [`SweepJob::run`] returns: the deterministic artifacts and the
+/// optional wall-clock profile.
+#[derive(Debug)]
+pub struct SweepRun {
+    /// Per-scenario rows and robustness statistics.
+    pub summary: SweepSummary,
+    /// Merged telemetry of the traced scenarios.
+    pub traces: RecordingSink,
+    /// Actuation latencies of all scenarios, merged.
+    pub actuation_hist: Histogram,
+    /// The merged fleet profile, when [`SweepConfig::profile`] is set.
+    pub profile: Option<ProfileReport>,
+}
+
+/// One pool lane of a [`SweepJob`]: its profile buffer, its scratch
+/// actuation histogram and the variants it resolved, each with the rows
+/// that reused it since the lane last parked.
+struct Lane {
+    profile: WorkerProfile,
+    scratch: Histogram,
+    variants: HashMap<VariantKey, (Variant, u64)>,
+}
+
+impl Lane {
+    /// Runs scenario `index`. With both run-level memos on, an untraced
+    /// row under a non-random policy reuses the lane's [`Variant`] for
+    /// its key: a hit is the key's draws, one local lookup and
+    /// [`finish_row`], and writes no shared state. Every other row takes
+    /// [`run_scenario`]. `start_ns` is the task's start on the lane's
+    /// profile clock, where a hit's [`Phase::Variant`] span begins.
+    fn run(
+        &mut self,
+        job: &SweepJob,
+        bound: i64,
+        index: usize,
+        start_ns: u64,
+    ) -> Result<ScenarioRecord, CoreError> {
+        let SweepJob {
+            spec,
+            base,
+            config,
+            caches,
+        } = job;
+        let Lane {
+            profile: wp,
+            scratch,
+            variants,
+        } = self;
+        if !(config.memoize_scheduled && config.memoize_reports) || index < config.trace_scenarios {
+            return run_scenario(spec, base, config, caches, index, wp, scratch);
+        }
+        let (seed, key) = VariantKey::draw(config, index);
+        if let MappingPolicy::Random { .. } = config.policies[key.policy] {
+            return run_scenario(spec, base, config, caches, index, wp, scratch);
+        }
+        let variant = match variants.entry(key) {
+            std::collections::hash_map::Entry::Occupied(slot) => {
+                let (variant, hits) = slot.into_mut();
+                *hits += 1;
+                variant.note_lookups(wp, index);
+                let end_ns = wp.now_ns();
+                wp.push_span(index, Phase::Variant, start_ns, end_ns);
+                variant
+            }
+            std::collections::hash_map::Entry::Vacant(slot) => {
+                let variant = resolve_variant(spec, base, config, caches, bound, index, wp)?;
+                &slot.insert((variant, 0)).0
+            }
+        };
+        finish_row(
+            variant, base, config, caches, bound, index, seed, wp, scratch,
+        )
+    }
+
+    /// Credits the lane's variant reuses to the shared memo tables, so
+    /// their digest-derived counters read as if every row had looked up.
+    fn park(&mut self, caches: &SweepCaches) {
+        for (variant, hits) in self.variants.values_mut() {
+            if *hits > 0 {
+                variant.credit(caches, std::mem::take(hits));
+            }
+        }
+    }
+}
+
+impl SweepJob {
+    /// Runs the sweep on `pool` in passes of `chunk` scenarios (`0`: one
+    /// pass), calling `progress(done, total, worst actuation ns,
+    /// overruns)` after each pass.
+    ///
+    /// Every scenario receives its *global* index — seeds, labels and
+    /// trace prefixes derive from it — records fold in index order, and
+    /// lane scratch histograms merge in lane order, so the artifacts are
+    /// byte-identical for any worker count and chunk size. Lanes park
+    /// between passes, keeping their variants; each park credits the
+    /// lane's reuses to the memo tables.
+    ///
+    /// # Errors
+    ///
+    /// The lowest-index scenario failure. A scenario that panics fails
+    /// as [`CoreError::ScenarioPanicked`] for its own index; the pool
+    /// and the other scenarios are unaffected.
+    pub fn run<P>(
+        &self,
+        pool: &FleetPool,
+        chunk: usize,
+        mut progress: P,
+    ) -> Result<SweepRun, CoreError>
+    where
+        P: FnMut(usize, usize, i64, u64),
+    {
+        let config = &self.config;
+        let total = config.scenario_count;
+        let chunk = if chunk == 0 { total } else { chunk };
+        let bound = sweep_bound_ns(&self.spec, config);
+        // One shared epoch so every lane's spans share a time base.
+        let epoch = Instant::now();
+        let parked: Arc<Mutex<Vec<Option<Lane>>>> =
+            Arc::new(Mutex::new((0..pool.workers()).map(|_| None).collect()));
+        let mut acc = SweepAccumulator::new(config);
+        let (mut worst, mut overruns) = (0i64, 0u64);
+        let mut wall_ns = 0;
+        let mut start = 0usize;
+        while start < total {
+            let count = (total - start).min(chunk);
+            let init = {
+                let parked = Arc::clone(&parked);
+                let profile = config.profile;
+                move |lane: usize| {
+                    parked.lock().expect("parked lanes")[lane]
+                        .take()
+                        .unwrap_or_else(|| Lane {
+                            profile: WorkerProfile::new(lane, epoch, profile),
+                            scratch: Histogram::new(bound, SWEEP_BUCKETS),
+                            variants: HashMap::new(),
+                        })
+                }
+            };
+            let job = self.clone();
+            let (records, lanes) = pool.run_with(count, init, move |i, lane: &mut Lane| {
+                let index = start + i;
+                let t0 = lane.profile.now_ns();
+                let record = contain(index, || lane.run(&job, bound, index, t0));
+                let t1 = lane.profile.now_ns();
+                lane.profile.note_task(t0, t1);
+                record
+            });
+            wall_ns = epoch.elapsed().as_nanos() as u64;
+            let mut slots = parked.lock().expect("parked lanes");
+            for (slot, mut lane) in slots.iter_mut().zip(lanes) {
+                lane.park(&self.caches);
+                *slot = Some(lane);
+            }
+            drop(slots);
+            for record in records {
+                let record = record?;
+                worst = worst.max(record.outcome.worst_actuation_ns);
+                overruns += record.outcome.overruns as u64;
+                acc.push(record);
+            }
+            start += count;
+            progress(start, total, worst, overruns);
+        }
+        // Bucket sums are commutative and associative, so merging the
+        // lane scratch histograms (in lane order) yields bytes identical
+        // to a per-scenario merge for any claim interleaving.
+        let mut actuation_hist = Histogram::new(bound, SWEEP_BUCKETS);
+        let mut profiles = Vec::new();
+        for lane in parked.lock().expect("parked lanes").drain(..).flatten() {
+            actuation_hist.merge(&lane.scratch);
+            profiles.push(lane.profile);
+        }
+        let profile = config
+            .profile
+            .then(|| ProfileReport::from_workers(wall_ns, profiles));
+        let (summary, traces) = acc.finish();
+        Ok(SweepRun {
+            summary,
+            traces,
+            actuation_hist,
+            profile,
+        })
+    }
 }
 
 /// Runs the whole sweep on `config.workers` threads.
@@ -1547,49 +2032,20 @@ pub fn run_sweep(
     base: &SplitScenario,
     config: &SweepConfig,
 ) -> Result<SweepOutput, CoreError> {
-    let caches = SweepCaches::new();
-    // One shared epoch so every worker's spans share a time base; the
-    // buffers themselves are per-worker state — no hot-path sharing.
-    let epoch = Instant::now();
-    let bound = sweep_bound_ns(spec, config);
-    let (results, buffers) = map_indexed_with(
-        config.scenario_count,
-        config.workers,
-        |worker| {
-            (
-                WorkerProfile::new(worker, epoch, config.profile),
-                Histogram::new(bound, SWEEP_BUCKETS),
-            )
-        },
-        |i, state: &mut (WorkerProfile, Histogram)| {
-            let (wp, scratch) = state;
-            wp.task(|wp| run_scenario(spec, base, config, &caches, i, wp, scratch))
-        },
-    );
-    let wall_ns = epoch.elapsed().as_nanos() as u64;
-    // Bucket sums are commutative and associative, so merging the
-    // per-worker scratch histograms (in worker-index order) yields bytes
-    // identical to a per-scenario merge for any claim interleaving.
-    let mut merged = Histogram::new(bound, SWEEP_BUCKETS);
-    let mut profiles = Vec::with_capacity(buffers.len());
-    for (wp, scratch) in buffers {
-        merged.merge(&scratch);
-        profiles.push(wp);
-    }
-    let profile = config
-        .profile
-        .then(|| ProfileReport::from_workers(wall_ns, profiles));
-
-    let mut acc = SweepAccumulator::new(config);
-    for result in results {
-        acc.push(result?);
-    }
-    let (summary, traces) = acc.finish();
+    let job = SweepJob {
+        spec: Arc::new(spec.clone()),
+        base: Arc::new(base.clone()),
+        config: Arc::new(config.clone()),
+        caches: Arc::new(SweepCaches::new()),
+    };
+    let pool = FleetPool::new(config.workers.clamp(1, config.scenario_count.max(1)));
+    let run = job.run(&pool, 0, |_, _, _, _| {})?;
+    let caches = &job.caches;
     Ok(SweepOutput {
-        summary,
-        actuation_hist: merged,
-        traces,
-        profile,
+        summary: run.summary,
+        actuation_hist: run.actuation_hist,
+        traces: run.traces,
+        profile: run.profile,
         ideal_hits: caches.ideal.hits(),
         ideal_misses: caches.ideal.misses(),
         scheduled_hits: caches.scheduled.hits(),
@@ -2286,14 +2742,68 @@ mod tests {
         assert_eq!(states.len(), 1);
     }
 
-    /// The resident-pool sharding a daemon uses — [`FleetPool::run_with`]
-    /// over the public [`run_scenario`] folded by a [`SweepAccumulator`]
-    /// — must reproduce [`run_sweep`]'s artifacts byte for byte, cold
-    /// *and* warm: the second pass over the same shared [`SweepCaches`]
-    /// answers from the memos (zero new co-simulations) yet yields the
-    /// identical summary, because the accumulator derives its cache
-    /// counters from the job's own digest multiset, not the global
-    /// tables.
+    /// A lane panic must not hang [`FleetPool::run_with`]: it resumes on
+    /// the caller well within the deadline, and the pool's workers
+    /// survive to run the next job.
+    #[test]
+    fn fleet_pool_survives_a_panicking_lane() {
+        let pool = FleetPool::new(2);
+        let started = Instant::now();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            pool.run_with(
+                8,
+                |_| (),
+                |i, _: &mut ()| {
+                    assert_ne!(i, 3, "injected lane panic");
+                    i
+                },
+            )
+        }));
+        assert!(outcome.is_err(), "the lane panic must reach the caller");
+        assert!(started.elapsed() < std::time::Duration::from_secs(5));
+        let (results, states) = pool.run_with(8, |lane| lane, |i, _: &mut usize| i * 3);
+        assert_eq!(results, (0..8).map(|i| i * 3).collect::<Vec<_>>());
+        assert_eq!(states, vec![0, 1]);
+    }
+
+    /// The sweep driver contains a scenario panic to its own index: one
+    /// panicking index in 8 on 2 workers fails as a typed error for that
+    /// index alone, promptly, and the pool still runs a second job.
+    #[test]
+    fn contained_panic_fails_only_its_own_index() {
+        let pool = FleetPool::new(2);
+        let started = Instant::now();
+        let (results, _) = pool.run_with(
+            8,
+            |_| (),
+            |i, _: &mut ()| {
+                contain(i, || {
+                    assert_ne!(i, 3, "injected scenario panic");
+                    Ok(i)
+                })
+            },
+        );
+        assert!(started.elapsed() < std::time::Duration::from_secs(5));
+        for (i, r) in results.iter().enumerate() {
+            match r {
+                Err(CoreError::ScenarioPanicked { index, message }) => {
+                    assert_eq!((i, *index), (3, 3));
+                    assert!(message.contains("injected scenario panic"), "{message}");
+                }
+                other => assert_eq!(other, &Ok(i)),
+            }
+        }
+        let (again, _) = pool.run_with(8, |_| (), |i, _: &mut ()| i + 1);
+        assert_eq!(again, (1..9).collect::<Vec<_>>());
+    }
+
+    /// The daemon's sharding — a [`SweepJob`] run on a resident
+    /// [`FleetPool`] in small passes — must reproduce [`run_sweep`]'s
+    /// artifacts byte for byte, cold *and* warm: the second job over the
+    /// same shared [`SweepCaches`] answers from the memos (zero new
+    /// co-simulations) yet yields the identical summary, because the
+    /// accumulator derives its cache counters from the job's own digest
+    /// multiset, not the global tables.
     #[test]
     fn pooled_sweep_reproduces_scoped_sweep_bytes_cold_and_warm() {
         let spec = dc_motor_loop(0.3).unwrap();
@@ -2305,60 +2815,31 @@ mod tests {
         let reference = run_sweep(&spec, &small_base(), &config).unwrap();
 
         let pool = FleetPool::new(4);
-        let caches = Arc::new(SweepCaches::new());
-        let spec = Arc::new(spec);
-        let base = Arc::new(small_base());
-        let config = Arc::new(config);
-        let bound = sweep_bound_ns(&spec, &config);
-        let run_pass = || {
-            let epoch = Instant::now();
-            let profile_on = config.profile;
-            let (results, buffers) = pool.run_with(
-                config.scenario_count,
-                move |lane| {
-                    (
-                        WorkerProfile::new(lane, epoch, profile_on),
-                        Histogram::new(bound, SWEEP_BUCKETS),
-                    )
-                },
-                {
-                    let caches = Arc::clone(&caches);
-                    let spec = Arc::clone(&spec);
-                    let base = Arc::clone(&base);
-                    let config = Arc::clone(&config);
-                    move |i, state: &mut (WorkerProfile, Histogram)| {
-                        let (wp, scratch) = state;
-                        wp.task(|wp| run_scenario(&spec, &base, &config, &caches, i, wp, scratch))
-                    }
-                },
-            );
-            let mut merged = Histogram::new(bound, SWEEP_BUCKETS);
-            for (_wp, scratch) in buffers {
-                merged.merge(&scratch);
-            }
-            let mut acc = SweepAccumulator::new(&config);
-            for result in results {
-                acc.push(result.unwrap());
-            }
-            let (summary, traces) = acc.finish();
-            (summary, traces, merged)
+        let job = SweepJob {
+            spec: Arc::new(spec),
+            base: Arc::new(small_base()),
+            config: Arc::new(config),
+            caches: Arc::new(SweepCaches::new()),
         };
+        let mut passes = Vec::new();
+        let cold = job
+            .run(&pool, 3, |done, total, _, _| passes.push((done, total)))
+            .unwrap();
+        assert_eq!(passes, vec![(3, 8), (6, 8), (8, 8)]);
+        assert_eq!(cold.summary, reference.summary);
+        assert_eq!(cold.summary.render(), reference.summary.render());
+        assert_eq!(cold.summary.to_json(), reference.summary.to_json());
+        assert_eq!(cold.traces, reference.traces);
+        assert_eq!(cold.actuation_hist, reference.actuation_hist);
 
-        let (cold_summary, cold_traces, cold_hist) = run_pass();
-        assert_eq!(cold_summary, reference.summary);
-        assert_eq!(cold_summary.render(), reference.summary.render());
-        assert_eq!(cold_summary.to_json(), reference.summary.to_json());
-        assert_eq!(cold_traces, reference.traces);
-        assert_eq!(cold_hist, reference.actuation_hist);
-
-        let computes_after_cold = caches.scheduled.computes();
-        let (warm_summary, warm_traces, warm_hist) = run_pass();
-        assert_eq!(warm_summary, reference.summary);
-        assert_eq!(warm_summary.render(), reference.summary.render());
-        assert_eq!(warm_traces, reference.traces);
-        assert_eq!(warm_hist, reference.actuation_hist);
+        let computes_after_cold = job.caches.scheduled.computes();
+        let warm = job.run(&pool, 3, |_, _, _, _| {}).unwrap();
+        assert_eq!(warm.summary, reference.summary);
+        assert_eq!(warm.summary.render(), reference.summary.render());
+        assert_eq!(warm.traces, reference.traces);
+        assert_eq!(warm.actuation_hist, reference.actuation_hist);
         assert_eq!(
-            caches.scheduled.computes(),
+            job.caches.scheduled.computes(),
             computes_after_cold,
             "a warm pass must answer every untraced co-simulation from the memo"
         );
@@ -2446,6 +2927,98 @@ mod tests {
             6,
             "one report lookup per (faulty) scenario"
         );
+    }
+
+    /// A serial map over the reference [`run_scenario`] with fresh
+    /// caches: the artifacts and the `(hits, misses)` of the schedule,
+    /// ideal, scheduled and report layers.
+    fn reference_sweep(
+        spec: &LoopSpec,
+        base: &SplitScenario,
+        config: &SweepConfig,
+    ) -> (SweepSummary, RecordingSink, Histogram, [(u64, u64); 4]) {
+        let caches = SweepCaches::new();
+        let mut wp = WorkerProfile::new(0, Instant::now(), false);
+        let mut scratch = Histogram::new(sweep_bound_ns(spec, config), SWEEP_BUCKETS);
+        let mut acc = SweepAccumulator::new(config);
+        for i in 0..config.scenario_count {
+            acc.push(run_scenario(spec, base, config, &caches, i, &mut wp, &mut scratch).unwrap());
+        }
+        let (summary, traces) = acc.finish();
+        (summary, traces, scratch, layer_counters(&caches))
+    }
+
+    fn layer_counters(caches: &SweepCaches) -> [(u64, u64); 4] {
+        [
+            (caches.schedule.hits(), caches.schedule.misses()),
+            (caches.ideal.hits(), caches.ideal.misses()),
+            (caches.scheduled.hits(), caches.scheduled.misses()),
+            (caches.reports.hits(), caches.reports.misses()),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 8 })]
+
+        /// Variant reuse is invisible: over random configurations — fault
+        /// axes on or off, pruning, a `Random` policy, traced rows, 1 to
+        /// 64 WCET tables (log-uniform, so variants repeat often enough
+        /// to reuse), 1 or 4 workers — the sweep driver (the body of
+        /// [`run_sweep`]) yields the reference path's artifacts and the
+        /// same hit/miss counters on all four memo layers.
+        #[test]
+        fn variant_reuse_matches_reference_rows(
+            base_seed in 0u64..(1u64 << 48),
+            scenarios in 16usize..64,
+            table_exp in 0u32..7,
+            faults in 0u8..2,
+            prune in 0u8..2,
+            random_policy in 0u8..2,
+            traced in 0usize..3,
+            four_workers in 0u8..2,
+        ) {
+            let mut policies = vec![MappingPolicy::SchedulePressure, MappingPolicy::EarliestFinish];
+            if random_policy == 1 {
+                policies.push(MappingPolicy::Random { seed: 0 });
+            }
+            let faults = if faults == 1 {
+                FaultAxes {
+                    frame_loss_rates: vec![0.0, 0.25],
+                    link_outage_rates: vec![0.0, 0.1],
+                    ..FaultAxes::default()
+                }
+            } else {
+                FaultAxes::default()
+            };
+            let workers = if four_workers == 1 { 4 } else { 1 };
+            let config = SweepConfig {
+                base_seed,
+                scenario_count: scenarios,
+                workers,
+                wcet_tables: 1 << table_exp,
+                policies,
+                trace_scenarios: traced,
+                faults,
+                prune_static: prune == 1,
+                memoize_scheduled: true,
+                memoize_reports: true,
+                ..SweepConfig::default()
+            };
+            let spec = dc_motor_loop(0.05).unwrap();
+            let job = SweepJob {
+                spec: Arc::new(spec.clone()),
+                base: Arc::new(small_base()),
+                config: Arc::new(config.clone()),
+                caches: Arc::new(SweepCaches::new()),
+            };
+            let out = job.run(&FleetPool::new(workers), 0, |_, _, _, _| {}).unwrap();
+            let (summary, traces, hist, layers) = reference_sweep(&spec, &small_base(), &config);
+            prop_assert_eq!(out.summary.render(), summary.render());
+            prop_assert_eq!(out.summary.to_json(), summary.to_json());
+            prop_assert_eq!(&out.actuation_hist, &hist);
+            prop_assert_eq!(&out.traces, &traces);
+            prop_assert_eq!(layer_counters(&job.caches), layers);
+        }
     }
 
     proptest! {

@@ -61,6 +61,7 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
 /// A ready-to-run distributed scenario: law, translated graph, 2-ECU bus
 /// architecture with I/O pinned on `io_ecu` and computation on
 /// `control_ecu`.
+#[derive(Clone)]
 pub struct SplitScenario {
     /// The control law.
     pub law: ControlLawSpec,

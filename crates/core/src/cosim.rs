@@ -1116,6 +1116,22 @@ impl IdealRunCache {
         Ok((Arc::clone(&slot.result), key, false))
     }
 
+    /// Counts `n` more lookups of `digest` answered by a caller that kept
+    /// the run it first looked up (a fleet lane's reused sweep variant):
+    /// [`hits`](IdealRunCache::hits) grows by `n`, as if they had reached the
+    /// table. A digest never looked up or seeded is ignored.
+    pub fn note_hits(&self, digest: u64, n: u64) {
+        if let Some(slot) = self
+            .state
+            .lock()
+            .expect("ideal memo lock")
+            .map
+            .get_mut(&digest)
+        {
+            slot.lookups += n;
+        }
+    }
+
     /// Lookups beyond the first of their digest — what a serial run would
     /// have answered from the cache. Derived from per-digest lookup
     /// counts, so identical for any worker count.
@@ -1348,6 +1364,22 @@ impl ScheduledRunCache {
             .or_insert_with(|| ScheduledSlot { result, lookups: 0 });
         slot.lookups += 1;
         Ok((Arc::clone(&slot.result), key, false, phases))
+    }
+
+    /// Counts `n` more lookups of `digest` answered by a caller that kept
+    /// the run it first looked up (a fleet lane's reused sweep variant):
+    /// [`hits`](ScheduledRunCache::hits) grows by `n`, as if they had reached the
+    /// table. A digest never looked up or seeded is ignored.
+    pub fn note_hits(&self, digest: u64, n: u64) {
+        if let Some(slot) = self
+            .state
+            .lock()
+            .expect("scheduled memo lock")
+            .map
+            .get_mut(&digest)
+        {
+            slot.lookups += n;
+        }
     }
 
     /// Lookups beyond the first of their digest — what a serial run would

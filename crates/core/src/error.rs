@@ -27,6 +27,14 @@ pub enum CoreError {
         /// Explanation of the inconsistency.
         reason: String,
     },
+    /// A sweep scenario panicked; the panic was contained to its own
+    /// index.
+    ScenarioPanicked {
+        /// Global index of the scenario.
+        index: usize,
+        /// The panic message.
+        message: String,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -38,6 +46,9 @@ impl fmt::Display for CoreError {
             CoreError::Block(e) => write!(f, "block error: {e}"),
             CoreError::Linalg(e) => write!(f, "linear algebra error: {e}"),
             CoreError::InvalidInput { reason } => write!(f, "invalid methodology input: {reason}"),
+            CoreError::ScenarioPanicked { index, message } => {
+                write!(f, "scenario {index} panicked: {message}")
+            }
         }
     }
 }
@@ -50,7 +61,7 @@ impl Error for CoreError {
             CoreError::Control(e) => Some(e),
             CoreError::Block(e) => Some(e),
             CoreError::Linalg(e) => Some(e),
-            CoreError::InvalidInput { .. } => None,
+            CoreError::InvalidInput { .. } | CoreError::ScenarioPanicked { .. } => None,
         }
     }
 }

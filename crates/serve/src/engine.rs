@@ -11,33 +11,30 @@
 //! store — a restarted daemon answers known requests without computing
 //! a single schedule.
 //!
-//! **Byte determinism.** A job is sharded into chunks of scenarios, each
-//! chunk a [`FleetPool::run_with`] pass, but every scenario receives its
-//! *global* index — seeds, labels and aggregation order derive from it —
-//! and records are folded in index order by a job-local
-//! [`SweepAccumulator`]. The accumulator also derives the summary's
-//! cache counters from the job's own schedule-digest multiset, not from
-//! the shared tables, so a response's payload is byte-identical whether
-//! it was computed on a cold daemon, a warm one, after a restart, with
-//! one pool worker or with sixteen, in one chunk or many.
+//! **Byte determinism.** A job is a [`SweepJob`] sharded into chunks of
+//! scenarios, each chunk a [`FleetPool`] pass, but every scenario
+//! receives its *global* index — seeds, labels and aggregation order
+//! derive from it — and records are folded in index order by a
+//! job-local [`ecl_bench::fleet::SweepAccumulator`]. The accumulator
+//! also derives the summary's cache counters from the job's own
+//! schedule-digest multiset, not from the shared tables, so a response's
+//! payload is byte-identical whether it was computed on a cold daemon, a
+//! warm one, after a restart, with one pool worker or with sixteen, in
+//! one chunk or many.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use ecl_aaa::{AdequationOptions, Fnv1a, MappingPolicy, Schedule, TimeNs};
-use ecl_bench::fleet::{
-    run_scenario, sweep_bound_ns, FaultAxes, FleetPool, SweepAccumulator, SweepCaches, SweepConfig,
-    SWEEP_BUCKETS,
-};
+use ecl_bench::fleet::{FaultAxes, FleetPool, SweepCaches, SweepConfig, SweepJob};
 use ecl_bench::{dc_motor_loop, split_scenario, SplitScenario};
 use ecl_core::cosim::{LoopResult, LoopSpec};
 use ecl_core::faults::FaultFamily;
 use ecl_core::report::SweepSummary;
 use ecl_core::CoreError;
-use ecl_telemetry::{Histogram, WorkerProfile};
+use ecl_telemetry::Histogram;
 
 use crate::store::DiskStore;
 use crate::wire::{Policy, ResponseSource, SweepRequest};
@@ -51,8 +48,8 @@ const KIND_RESPONSES: &str = "responses";
 /// One registered deployment case: the split architecture scenario and
 /// the control loop swept over it.
 struct Deployment {
-    spec: LoopSpec,
-    base: SplitScenario,
+    spec: Arc<LoopSpec>,
+    base: Arc<SplitScenario>,
 }
 
 impl std::fmt::Debug for Deployment {
@@ -162,14 +159,14 @@ impl Engine {
         deployments.insert(
             "dc_motor".to_string(),
             Arc::new(Deployment {
-                spec: dc_motor_loop(0.3)?,
-                base: split_scenario(
+                spec: Arc::new(dc_motor_loop(0.3)?),
+                base: Arc::new(split_scenario(
                     2,
                     1,
                     TimeNs::from_micros(200),
                     TimeNs::from_micros(50),
                     TimeNs::from_micros(500),
-                )?,
+                )?),
             }),
         );
         let store = match &config.store_dir {
@@ -392,7 +389,7 @@ impl Engine {
     ///
     /// [`CoreError::InvalidInput`] for an unregistered case; otherwise
     /// the lowest-index scenario failure, if any.
-    pub fn run_job<F>(&self, req: &SweepRequest, mut progress: F) -> Result<JobReport, CoreError>
+    pub fn run_job<F>(&self, req: &SweepRequest, progress: F) -> Result<JobReport, CoreError>
     where
         F: FnMut(usize, usize, i64, u64),
     {
@@ -421,64 +418,14 @@ impl Engine {
                     reason: format!("unknown deployment case {:?}", req.case),
                 })?;
         self.metrics.computed.fetch_add(1, Ordering::Relaxed);
-        let config = Arc::new(self.config_for(req));
-        let bound = sweep_bound_ns(&deployment.spec, &config);
-        let total = config.scenario_count;
-        let chunk = if req.chunk == 0 { total } else { req.chunk };
-        let epoch = Instant::now();
-        let mut acc = SweepAccumulator::new(&config);
-        let mut merged = Histogram::new(bound, SWEEP_BUCKETS);
-        let mut worst = 0i64;
-        let mut overruns = 0u64;
-        let mut start = 0usize;
-        while start < total {
-            let count = (total - start).min(chunk);
-            let f = {
-                let deployment = Arc::clone(deployment);
-                let config = Arc::clone(&config);
-                let caches = Arc::clone(&self.caches);
-                move |i: usize, state: &mut (WorkerProfile, Histogram)| {
-                    let (wp, scratch) = state;
-                    // The *global* index drives seeds, labels and trace
-                    // prefixes, so chunking cannot perturb a byte.
-                    run_scenario(
-                        &deployment.spec,
-                        &deployment.base,
-                        &config,
-                        &caches,
-                        start + i,
-                        wp,
-                        scratch,
-                    )
-                }
-            };
-            let (records, states) = self.pool.run_with(
-                count,
-                move |lane| {
-                    (
-                        WorkerProfile::new(lane, epoch, false),
-                        Histogram::new(bound, SWEEP_BUCKETS),
-                    )
-                },
-                f,
-            );
-            for record in records {
-                let record = record?;
-                worst = worst.max(record.outcome.worst_actuation_ns);
-                overruns += record.outcome.overruns as u64;
-                acc.push(record);
-            }
-            // Lane scratches merge in lane order; histogram merging is
-            // commutative and associative, so chunk x lane slicing can
-            // never show through the merged bytes.
-            for (_, scratch) in states {
-                merged.merge(&scratch);
-            }
-            start += count;
-            progress(start, total, worst, overruns);
-        }
-        let (summary, _traces) = acc.finish();
-        let payload = Arc::new(Self::render_payload(&summary, &merged));
+        let job = SweepJob {
+            spec: Arc::clone(&deployment.spec),
+            base: Arc::clone(&deployment.base),
+            config: Arc::new(self.config_for(req)),
+            caches: Arc::clone(&self.caches),
+        };
+        let run = job.run(&self.pool, req.chunk, progress)?;
+        let payload = Arc::new(Self::render_payload(&run.summary, &run.actuation_hist));
         let payload_dig = payload_digest(&payload);
         self.persist(digest, &payload);
         self.responses.lock().expect("response memo").insert(

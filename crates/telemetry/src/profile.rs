@@ -57,11 +57,15 @@ pub enum Phase {
     Validation,
     /// Static verification and soundness-margin measurement.
     Verification,
+    /// A row answered from its lane's resolved sweep variant: the key
+    /// draws and the lane-local lookup that replace derive through
+    /// metrics.
+    Variant,
 }
 
 impl Phase {
     /// Every phase, in canonical report order.
-    pub const ALL: [Phase; 10] = [
+    pub const ALL: [Phase; 11] = [
         Phase::Derive,
         Phase::Adequation,
         Phase::Envelope,
@@ -72,6 +76,7 @@ impl Phase {
         Phase::Metrics,
         Phase::Validation,
         Phase::Verification,
+        Phase::Variant,
     ];
 
     /// Stable display name (matches the lifecycle span names where a
@@ -88,6 +93,7 @@ impl Phase {
             Phase::Metrics => "metrics",
             Phase::Validation => "executive validation",
             Phase::Verification => "static verify",
+            Phase::Variant => "variant reuse",
         }
     }
 
@@ -104,6 +110,7 @@ impl Phase {
             Phase::Metrics => 'm',
             Phase::Validation => 'v',
             Phase::Verification => 's',
+            Phase::Variant => 'r',
         }
     }
 }

@@ -19,6 +19,13 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test (workspace) =="
 cargo test --workspace -q --offline
 
+# Benchmark smoke: perfbench's sweep_memo workload drives run_sweep's
+# variant-reuse path and checks its rows against unmemoized, unpruned
+# run_scenario reference rows; any disagreement exits non-zero.
+echo "== perfbench sweep_memo smoke =="
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload sweep_memo --seed 1 --seconds 1 --trace 0 >/dev/null
+
 # The fleet/histogram/latency tests assert worker-count invariance; run
 # them again single-threaded so a scheduling-dependent bug cannot hide
 # behind the default parallel test harness.
