@@ -9,8 +9,10 @@
 //! skip the scheduler entirely; [`adequation`] is deterministic, so a
 //! cache hit returns a schedule byte-identical to a fresh run.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::ops::Deref;
+use std::sync::Arc;
+
+use ecl_telemetry::DigestMemo;
 
 use crate::adequation::{adequation, AdequationOptions, MappingPolicy};
 use crate::algorithm::AlgorithmGraph;
@@ -184,44 +186,12 @@ pub fn schedule_digest(
     h.0
 }
 
-/// A cached schedule plus the number of times it was looked up.
-#[derive(Debug)]
-struct CacheSlot {
-    schedule: Arc<Schedule>,
-    lookups: u64,
-}
-
-/// Map plus the count of lookups that *observed* a local miss (and so
-/// ran the scheduler). Exceeding the number of distinct digests means
-/// workers raced to compute the same key and the losers' results were
-/// discarded — wasted work that is scheduling-dependent, so it feeds
-/// profiler sidecars only, never deterministic artifacts.
-#[derive(Debug, Default)]
-struct CacheState {
-    map: HashMap<u64, CacheSlot>,
-    local_misses: u64,
-}
-
-/// A thread-safe memo table from [`schedule_digest`] keys to schedules.
+/// The [`DigestMemo`] from [`schedule_digest`] keys to schedules.
 ///
-/// Shared by the sweep workers via `Arc`; the lock is held only around
-/// the map lookup/insert, never across the scheduler itself, so a miss
-/// on one worker does not serialize the others (two workers may race to
-/// compute the same key — both produce the identical deterministic
-/// schedule, and the second insert is a no-op).
-///
-/// The [`hits`](ScheduleCache::hits)/[`misses`](ScheduleCache::misses)
-/// counters are *derived from per-digest lookup counts* rather than
-/// incremented per observation: `misses` is the number of distinct
-/// digests ever looked up and `hits` is every lookup beyond the first of
-/// its digest. Under the race above, a per-observation counter would
-/// depend on which worker won (worker-count-dependent bytes in sweep
-/// summaries); the derived form depends only on the multiset of digests
-/// looked up, so it is identical for any worker count and claim order.
-/// Which worker *observed* a hit is still reported per lookup by
-/// [`get_or_compute_traced`](ScheduleCache::get_or_compute_traced) — that
-/// observation belongs in wall-clock profiler sidecars, never in
-/// deterministic artifacts.
+/// Shared by the sweep workers via `Arc`. All counting, locking,
+/// seeding and snapshotting is the memo's (reached through `Deref`);
+/// this type only adds the key and the compute: [`adequation`] runs
+/// outside the lock, on a miss only.
 ///
 /// # Examples
 ///
@@ -243,8 +213,14 @@ struct CacheState {
 /// # }
 /// ```
 #[derive(Debug, Default)]
-pub struct ScheduleCache {
-    state: Mutex<CacheState>,
+pub struct ScheduleCache(DigestMemo<Schedule>);
+
+impl Deref for ScheduleCache {
+    type Target = DigestMemo<Schedule>;
+
+    fn deref(&self) -> &DigestMemo<Schedule> {
+        &self.0
+    }
 }
 
 impl ScheduleCache {
@@ -272,14 +248,8 @@ impl ScheduleCache {
 
     /// Like [`get_or_compute`](ScheduleCache::get_or_compute), also
     /// returning the [`schedule_digest`] key and whether *this* lookup
-    /// was answered from the cache.
-    ///
-    /// The hit flag is this caller's local observation: two workers
-    /// racing on the same digest both observe a miss, so the flag is
-    /// scheduling-dependent and must only feed wall-clock sidecars (the
-    /// fleet profiler), never deterministic artifacts — those use the
-    /// order-invariant [`hits`](ScheduleCache::hits)/
-    /// [`misses`](ScheduleCache::misses) instead.
+    /// was answered from the cache (a local observation for wall-clock
+    /// sidecars, see [`DigestMemo::get_or_build`]).
     ///
     /// # Errors
     ///
@@ -292,131 +262,8 @@ impl ScheduleCache {
         options: AdequationOptions,
     ) -> Result<(Arc<Schedule>, u64, bool), AaaError> {
         let key = schedule_digest(alg, arch, db, options);
-        if let Some(slot) = self.state.lock().expect("cache lock").map.get_mut(&key) {
-            slot.lookups += 1;
-            return Ok((Arc::clone(&slot.schedule), key, true));
-        }
-        // Computed outside the lock: adequation can be the sweep's most
-        // expensive non-simulation phase.
-        let schedule = Arc::new(adequation(alg, arch, db, options)?);
-        let mut state = self.state.lock().expect("cache lock");
-        state.local_misses += 1;
-        let slot = state.map.entry(key).or_insert_with(|| CacheSlot {
-            schedule,
-            lookups: 0,
-        });
-        slot.lookups += 1;
-        Ok((Arc::clone(&slot.schedule), key, false))
-    }
-
-    /// Counts `n` more lookups of `digest` answered by a caller that kept
-    /// the schedule it first looked up (a fleet lane's reused sweep
-    /// variant): [`hits`](ScheduleCache::hits) grows by `n`, as if they
-    /// had reached the cache. A digest never looked up or seeded is
-    /// ignored.
-    pub fn note_hits(&self, digest: u64, n: u64) {
-        if let Some(slot) = self.state.lock().expect("cache lock").map.get_mut(&digest) {
-            slot.lookups += n;
-        }
-    }
-
-    /// Number of lookups beyond the first of their digest — every lookup
-    /// that a serial run would have answered from the cache. Derived from
-    /// per-digest lookup counts, so identical for any worker count.
-    pub fn hits(&self) -> u64 {
-        self.state
-            .lock()
-            .expect("cache lock")
-            .map
-            .values()
-            .map(|slot| slot.lookups.saturating_sub(1))
-            .sum()
-    }
-
-    /// Number of distinct digests ever looked up — the lookups a serial
-    /// run would have sent to the scheduler. Derived, order-invariant.
-    pub fn misses(&self) -> u64 {
-        self.len() as u64
-    }
-
-    /// Total lookups across all digests (`hits + misses`).
-    pub fn lookups(&self) -> u64 {
-        self.state
-            .lock()
-            .expect("cache lock")
-            .map
-            .values()
-            .map(|slot| slot.lookups)
-            .sum()
-    }
-
-    /// Racing double-computes: lookups that observed a local miss (and
-    /// ran the scheduler) beyond the first of their digest. The losing
-    /// workers' schedules were discarded, so this is pure wasted work.
-    /// The value depends on thread interleaving — report it only in
-    /// wall-clock profiler sidecars, never in deterministic artifacts.
-    pub fn races(&self) -> u64 {
-        let state = self.state.lock().expect("cache lock");
-        state.local_misses.saturating_sub(state.map.len() as u64)
-    }
-
-    /// Number of lookups that actually ran the scheduler in *this*
-    /// process — unlike [`misses`](ScheduleCache::misses) it excludes
-    /// entries answered from a [`seed`](ScheduleCache::seed)ed (on-disk)
-    /// schedule, so a warm-started daemon can assert it recomputed
-    /// nothing. Includes racing double-computes, so it is
-    /// scheduling-dependent and belongs in sidecars only (its zero/
-    /// non-zero distinction is deterministic for serial executors).
-    pub fn computes(&self) -> u64 {
-        self.state.lock().expect("cache lock").local_misses
-    }
-
-    /// Inserts a schedule computed by an earlier process under its
-    /// [`schedule_digest`] key — the warm-start path of the on-disk
-    /// cache layer. Returns `false` (and keeps the resident entry) when
-    /// the digest is already cached.
-    ///
-    /// Seeding does not count as a lookup or a compute: a later lookup
-    /// of the digest counts toward [`misses`](ScheduleCache::misses)
-    /// exactly as if a prior process had paid the first-of-its-digest
-    /// compute, while [`computes`](ScheduleCache::computes) stays at
-    /// zero for seeded keys.
-    pub fn seed(&self, digest: u64, schedule: Schedule) -> bool {
-        let mut state = self.state.lock().expect("cache lock");
-        match state.map.entry(digest) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(CacheSlot {
-                    schedule: Arc::new(schedule),
-                    lookups: 0,
-                });
-                true
-            }
-        }
-    }
-
-    /// Every cached `(digest, schedule)` pair, sorted by digest — the
-    /// write-back path of the on-disk cache layer. Deterministic
-    /// ordering, so persisting a snapshot is reproducible.
-    pub fn snapshot(&self) -> Vec<(u64, Arc<Schedule>)> {
-        let state = self.state.lock().expect("cache lock");
-        let mut out: Vec<_> = state
-            .map
-            .iter()
-            .map(|(&digest, slot)| (digest, Arc::clone(&slot.schedule)))
-            .collect();
-        out.sort_by_key(|&(digest, _)| digest);
-        out
-    }
-
-    /// Number of distinct schedules currently cached.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("cache lock").map.len()
-    }
-
-    /// `true` when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        let (schedule, hit) = self.get_or_build(key, || adequation(alg, arch, db, options))?;
+        Ok((schedule, key, hit))
     }
 }
 
@@ -700,19 +547,6 @@ mod tests {
     }
 
     #[test]
-    fn races_are_zero_without_concurrent_misses() {
-        let (alg, arch, db) = setup();
-        let cache = ScheduleCache::new();
-        let opts = AdequationOptions::default();
-        for _ in 0..5 {
-            cache.get_or_compute(&alg, &arch, &db, opts).unwrap();
-        }
-        // Serial lookups can never double-compute.
-        assert_eq!(cache.races(), 0);
-        assert_eq!((cache.hits(), cache.misses()), (4, 1));
-    }
-
-    #[test]
     fn cache_hits_return_identical_schedule() {
         let (alg, arch, db) = setup();
         let cache = ScheduleCache::new();
@@ -735,31 +569,6 @@ mod tests {
         cache.get_or_compute(&alg, &arch, &db2, opts).unwrap();
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.misses(), 2);
-    }
-
-    #[test]
-    fn cache_is_shareable_across_threads_with_exact_counters() {
-        let (alg, arch, db) = setup();
-        let cache = Arc::new(ScheduleCache::new());
-        let opts = AdequationOptions::default();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let cache = Arc::clone(&cache);
-                let (alg, arch, db) = (&alg, &arch, &db);
-                scope.spawn(move || {
-                    for _ in 0..8 {
-                        cache.get_or_compute(alg, arch, db, opts).unwrap();
-                    }
-                });
-            }
-        });
-        // Digest-derived counters are exact even under racing lookups:
-        // 32 lookups of one digest are 1 miss + 31 hits, regardless of
-        // which thread computed the schedule or how many raced on the
-        // initial miss.
-        assert_eq!((cache.hits(), cache.misses()), (31, 1));
-        assert_eq!(cache.lookups(), 32);
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -807,27 +616,5 @@ mod tests {
         let fresh = adequation(&alg, &arch, &db, opts).unwrap();
         assert_eq!(served.ops(), fresh.ops());
         assert_eq!(served.comms(), fresh.comms());
-    }
-
-    /// The counters depend only on the multiset of digests looked up,
-    /// not on lookup interleaving: replaying the same lookups in reverse
-    /// order yields identical hits/misses.
-    #[test]
-    fn counters_are_order_invariant() {
-        let (alg, arch, db) = setup();
-        let mut db2 = db.clone();
-        db2.set_default(crate::OpId(0), TimeNs::from_micros(50));
-        let opts = AdequationOptions::default();
-        let run = |tables: &[&TimingDb]| {
-            let cache = ScheduleCache::new();
-            for t in tables {
-                cache.get_or_compute(&alg, &arch, t, opts).unwrap();
-            }
-            (cache.hits(), cache.misses())
-        };
-        let forward = run(&[&db, &db, &db2, &db, &db2]);
-        let reverse = run(&[&db2, &db, &db2, &db, &db]);
-        assert_eq!(forward, (3, 2));
-        assert_eq!(forward, reverse);
     }
 }

@@ -52,7 +52,8 @@ use ecl_core::xval;
 use ecl_core::CoreError;
 use ecl_exec::ExecOptions;
 use ecl_telemetry::{
-    Collector, Histogram, Phase, PrefixSink, ProfileReport, RecordingSink, WorkerProfile,
+    Collector, DigestMemo, Histogram, Phase, PrefixSink, ProfileReport, RecordingSink,
+    WorkerProfile,
 };
 
 use crate::SplitScenario;
@@ -453,20 +454,20 @@ pub struct SweepOutput {
     /// readings.
     pub profile: Option<ProfileReport>,
     /// Ideal-run memo lookups answered from the cache
-    /// ([`IdealRunCache::hits`] — digest-derived, worker-count
-    /// invariant). Carried beside the summary, never inside it: the
+    /// ([`DigestMemo::hits`] of [`SweepCaches::ideal`] — digest-derived,
+    /// worker-count invariant). Carried beside the summary, never inside it: the
     /// summary's rendered bytes predate the memo and must stay
     /// byte-identical, so these counters belong to experiment sidecars.
     pub ideal_hits: u64,
-    /// Distinct ideal runs actually simulated ([`IdealRunCache::misses`]).
+    /// Distinct ideal runs actually simulated ([`DigestMemo::misses`]).
     pub ideal_misses: u64,
     /// Scheduled-run memo lookups answered from the cache
-    /// ([`ScheduledRunCache::hits`] — digest-derived, worker-count
-    /// invariant). Same sidecar contract as [`SweepOutput::ideal_hits`]:
-    /// beside the summary, never inside it.
+    /// ([`DigestMemo::hits`] of [`SweepCaches::scheduled`] —
+    /// digest-derived, worker-count invariant). Same sidecar contract as
+    /// [`SweepOutput::ideal_hits`]: beside the summary, never inside it.
     pub scheduled_hits: u64,
     /// Distinct `(loop × schedule × fault-plan)` co-simulations actually
-    /// run ([`ScheduledRunCache::misses`]).
+    /// run ([`DigestMemo::misses`]).
     pub scheduled_misses: u64,
     /// Report-memo lookups answered from the cache ([`ReportCache::hits`]
     /// — digest-derived, worker-count invariant). Same sidecar contract
@@ -495,6 +496,74 @@ fn claim_batch(count: usize, workers: usize) -> usize {
     (count / (workers * 16)).clamp(1, 32)
 }
 
+/// The shared state of one indexed job: the claim counter, the
+/// index-addressed result slots and the parked lane states. Both pools
+/// ([`map_indexed_with`] on scoped threads, [`FleetPool::run_with`] on
+/// resident ones) run their lanes through [`Claims::run_lane`].
+struct Claims<R, W> {
+    count: usize,
+    batch: usize,
+    next: AtomicUsize,
+    slots: Mutex<Vec<Option<R>>>,
+    states: Mutex<Vec<Option<W>>>,
+}
+
+impl<R, W> Claims<R, W> {
+    fn new(count: usize, lanes: usize) -> Self {
+        Claims {
+            count,
+            batch: claim_batch(count, lanes),
+            next: AtomicUsize::new(0),
+            slots: Mutex::new((0..count).map(|_| None).collect()),
+            states: Mutex::new((0..lanes).map(|_| None).collect()),
+        }
+    }
+
+    /// One lane: creates its state, claims batches until the indices run
+    /// out, publishes each batch's results under one lock, then parks
+    /// the state in its lane slot.
+    fn run_lane(&self, lane: usize, init: impl Fn(usize) -> W, f: impl Fn(usize, &mut W) -> R) {
+        let mut state = init(lane);
+        let mut local: Vec<(usize, R)> = Vec::with_capacity(self.batch);
+        loop {
+            let start = self.next.fetch_add(self.batch, Ordering::Relaxed);
+            if start >= self.count {
+                break;
+            }
+            let end = (start + self.batch).min(self.count);
+            for i in start..end {
+                local.push((i, f(i, &mut state)));
+            }
+            let mut slots = self.slots.lock().expect("result slots");
+            for (i, r) in local.drain(..) {
+                slots[i] = Some(r);
+            }
+        }
+        self.states.lock().expect("lane states")[lane] = Some(state);
+    }
+
+    /// Stops every lane from claiming further batches.
+    fn stop(&self) {
+        self.next.store(self.count, Ordering::Relaxed);
+    }
+
+    /// The results in index order and the lane states in lane order.
+    /// Moving the slots out lets the collect reuse their buffer in place
+    /// instead of holding a second copy of every result.
+    fn take(&self) -> (Vec<R>, Vec<W>) {
+        let slots = std::mem::take(&mut *self.slots.lock().expect("result slots"));
+        let results = slots
+            .into_iter()
+            .map(|r| r.expect("every index produced a result"))
+            .collect();
+        let states = std::mem::take(&mut *self.states.lock().expect("lane states"))
+            .into_iter()
+            .map(|s| s.expect("every lane parked its state"))
+            .collect();
+        (results, states)
+    }
+}
+
 /// Like [`map_indexed`], but each worker additionally owns a private
 /// state created by `init(worker_index)` and threaded through every task
 /// it claims; the joined states are returned **in worker-index order**
@@ -516,47 +585,14 @@ where
     F: Fn(usize, &mut W) -> R + Sync,
 {
     let workers = workers.clamp(1, count.max(1));
-    let batch = claim_batch(count, workers);
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..count).map(|_| None).collect());
-    let states: Mutex<Vec<Option<W>>> = Mutex::new((0..workers).map(|_| None).collect());
+    let claims = Claims::new(count, workers);
     std::thread::scope(|scope| {
         for w in 0..workers {
-            let (next, slots, states, init, f) = (&next, &slots, &states, &init, &f);
-            scope.spawn(move || {
-                let mut state = init(w);
-                let mut local: Vec<(usize, R)> = Vec::with_capacity(batch);
-                loop {
-                    let start = next.fetch_add(batch, Ordering::Relaxed);
-                    if start >= count {
-                        break;
-                    }
-                    let end = (start + batch).min(count);
-                    for i in start..end {
-                        local.push((i, f(i, &mut state)));
-                    }
-                    let mut slots = slots.lock().expect("result slots");
-                    for (i, r) in local.drain(..) {
-                        slots[i] = Some(r);
-                    }
-                }
-                states.lock().expect("worker states")[w] = Some(state);
-            });
+            let (claims, init, f) = (&claims, &init, &f);
+            scope.spawn(move || claims.run_lane(w, init, f));
         }
     });
-    let results = slots
-        .into_inner()
-        .expect("result slots")
-        .into_iter()
-        .map(|r| r.expect("every index produced a result"))
-        .collect();
-    let states = states
-        .into_inner()
-        .expect("worker states")
-        .into_iter()
-        .map(|s| s.expect("every worker parked its state"))
-        .collect();
-    (results, states)
+    claims.take()
 }
 
 /// Runs `f` over `0..count` on `workers` self-scheduling threads and
@@ -611,15 +647,10 @@ type PoolTask = Box<dyn FnOnce() + Send + 'static>;
 /// A caught panic payload.
 type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
 
-/// Shared state of one [`FleetPool::run_with`] call: the claim counter,
-/// the index-addressed result slots, the per-lane states, the first
-/// lane panic and the completion latch.
+/// Shared state of one [`FleetPool::run_with`] call: its [`Claims`],
+/// the first lane panic and the completion latch.
 struct PoolJob<R, W> {
-    count: usize,
-    batch: usize,
-    next: AtomicUsize,
-    slots: Mutex<Vec<Option<R>>>,
-    states: Mutex<Vec<Option<W>>>,
+    claims: Claims<R, W>,
     panic: Mutex<Option<PanicPayload>>,
     remaining: Mutex<usize>,
     done: Condvar,
@@ -733,12 +764,8 @@ impl FleetPool {
         F: Fn(usize, &mut W) -> R + Send + Sync + 'static,
     {
         let lanes = self.workers.clamp(1, count.max(1));
-        let job = Arc::new(PoolJob::<R, W> {
-            count,
-            batch: claim_batch(count, lanes),
-            next: AtomicUsize::new(0),
-            slots: Mutex::new((0..count).map(|_| None).collect()),
-            states: Mutex::new((0..lanes).map(|_| None).collect()),
+        let job = Arc::new(PoolJob {
+            claims: Claims::new(count, lanes),
             panic: Mutex::new(None),
             remaining: Mutex::new(lanes),
             done: Condvar::new(),
@@ -757,28 +784,12 @@ impl FleetPool {
                         done: &job.done,
                     };
                     let run = catch_unwind(AssertUnwindSafe(|| {
-                        let mut state = init(lane);
-                        let mut local: Vec<(usize, R)> = Vec::with_capacity(job.batch);
-                        loop {
-                            let start = job.next.fetch_add(job.batch, Ordering::Relaxed);
-                            if start >= job.count {
-                                break;
-                            }
-                            let end = (start + job.batch).min(job.count);
-                            for i in start..end {
-                                local.push((i, f(i, &mut state)));
-                            }
-                            let mut slots = job.slots.lock().expect("pool result slots");
-                            for (i, r) in local.drain(..) {
-                                slots[i] = Some(r);
-                            }
-                        }
-                        job.states.lock().expect("pool lane states")[lane] = Some(state);
+                        job.claims.run_lane(lane, &*init, &*f);
                     }));
                     if let Err(payload) = run {
                         // Stop the other lanes claiming; the first panic
                         // is the one the caller sees.
-                        job.next.store(job.count, Ordering::Relaxed);
+                        job.claims.stop();
                         job.panic
                             .lock()
                             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -795,18 +806,7 @@ impl FleetPool {
         if let Some(payload) = job.panic.lock().expect("pool panic slot").take() {
             resume_unwind(payload);
         }
-        // Moving the slots out lets the collect reuse their buffer in
-        // place instead of holding a second copy of every result.
-        let slots = std::mem::take(&mut *job.slots.lock().expect("pool result slots"));
-        let results = slots
-            .into_iter()
-            .map(|r| r.expect("every index produced a result"))
-            .collect();
-        let states = std::mem::take(&mut *job.states.lock().expect("pool lane states"))
-            .into_iter()
-            .map(|s| s.expect("every lane parked its state"))
-            .collect();
-        (results, states)
+        job.claims.take()
     }
 }
 
@@ -878,19 +878,6 @@ pub struct ReportEntry {
     pub overruns: usize,
 }
 
-/// A cached report entry plus the number of times it was looked up.
-#[derive(Debug)]
-struct ReportSlot {
-    entry: Arc<ReportEntry>,
-    lookups: u64,
-}
-
-#[derive(Debug, Default)]
-struct ReportState {
-    map: HashMap<u64, ReportSlot>,
-    local_misses: u64,
-}
-
 /// The key of one memoized report extraction: the
 /// [`cosim::scheduled_run_digest`] of the run (which covers the loop
 /// spec, the schedule inputs and the fault plan — and therefore also the
@@ -904,118 +891,10 @@ pub fn report_digest(run_digest: u64, bound_ns: i64) -> u64 {
     h.finish()
 }
 
-/// A thread-safe memo table from [`report_digest`] keys to Metrics-phase
-/// yields ([`ReportEntry`]).
-///
-/// Same discipline as [`ScheduledRunCache`] and its siblings: the lock is
-/// held only around the map lookup/insert, never across the extraction
-/// (racing workers both derive the identical entry; the second insert is
-/// a no-op), and [`hits`](ReportCache::hits)/
-/// [`misses`](ReportCache::misses) are derived from per-digest lookup
-/// counts, so they are identical for any worker count and claim order.
-/// They still belong beside — never inside — byte-compared sweep
-/// artifacts.
-#[derive(Debug, Default)]
-pub struct ReportCache {
-    state: Mutex<ReportState>,
-}
-
-impl ReportCache {
-    /// An empty memo table.
-    pub fn new() -> Self {
-        ReportCache::default()
-    }
-
-    /// The entry for `digest`, building it with `build` only on a miss.
-    /// Returns the shared entry and whether *this* lookup was answered
-    /// from the cache (a wall-clock observation — sidecar-only).
-    ///
-    /// # Errors
-    ///
-    /// Propagates `build` errors; failures are not cached.
-    pub fn get_or_build<F>(
-        &self,
-        digest: u64,
-        build: F,
-    ) -> Result<(Arc<ReportEntry>, bool), CoreError>
-    where
-        F: FnOnce() -> Result<ReportEntry, CoreError>,
-    {
-        if let Some(slot) = self
-            .state
-            .lock()
-            .expect("report memo lock")
-            .map
-            .get_mut(&digest)
-        {
-            slot.lookups += 1;
-            return Ok((Arc::clone(&slot.entry), true));
-        }
-        // Extracted outside the lock: latency extraction walks every
-        // period of the run and must not serialize the pool.
-        let entry = Arc::new(build()?);
-        let mut state = self.state.lock().expect("report memo lock");
-        state.local_misses += 1;
-        let slot = state
-            .map
-            .entry(digest)
-            .or_insert_with(|| ReportSlot { entry, lookups: 0 });
-        slot.lookups += 1;
-        Ok((Arc::clone(&slot.entry), false))
-    }
-
-    /// Counts `n` more lookups of `digest` answered by a caller that kept
-    /// the entry it first looked up (a fleet lane's reused variant):
-    /// [`hits`](ReportCache::hits) grows by `n`, as if they had reached
-    /// the table. A digest never looked up is ignored.
-    pub fn note_hits(&self, digest: u64, n: u64) {
-        if let Some(slot) = self
-            .state
-            .lock()
-            .expect("report memo lock")
-            .map
-            .get_mut(&digest)
-        {
-            slot.lookups += n;
-        }
-    }
-
-    /// Lookups beyond the first of their digest — derived from per-digest
-    /// lookup counts, so identical for any worker count.
-    pub fn hits(&self) -> u64 {
-        self.state
-            .lock()
-            .expect("report memo lock")
-            .map
-            .values()
-            .map(|slot| slot.lookups.saturating_sub(1))
-            .sum()
-    }
-
-    /// Distinct digests ever looked up — the report extractions a serial
-    /// sweep would actually have performed. Derived, order-invariant.
-    pub fn misses(&self) -> u64 {
-        self.len() as u64
-    }
-
-    /// Racing double-extractions: local-miss observations beyond the
-    /// first of their digest. Thread-interleaving-dependent —
-    /// sidecar-only.
-    pub fn races(&self) -> u64 {
-        let state = self.state.lock().expect("report memo lock");
-        state.local_misses.saturating_sub(state.map.len() as u64)
-    }
-
-    /// Number of distinct entries currently cached.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("report memo lock").map.len()
-    }
-
-    /// `true` when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
+/// The memo table from [`report_digest`] keys to Metrics-phase yields
+/// ([`ReportEntry`]); the extraction runs outside the lock, on a miss
+/// only.
+pub type ReportCache = DigestMemo<ReportEntry>;
 
 /// The shared memo tables one sweep (or one resident daemon) threads
 /// through every scenario: adequation schedules, stroboscopic ideal

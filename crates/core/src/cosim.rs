@@ -9,8 +9,8 @@
 //! instants of the distributed implementation, exposing its impact on
 //! control performance *before any code runs on a target*.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::ops::Deref;
+use std::sync::Arc;
 
 use ecl_aaa::{timeline, AlgorithmGraph, ArchitectureGraph, Fnv1a, Schedule, TimeNs};
 use ecl_blocks::{add_clock, Constant, DiscreteStateSpace, SampleHold, SampledNoise, StateSpaceCt};
@@ -19,7 +19,7 @@ use ecl_control::StateSpace;
 use ecl_linalg::Mat;
 use ecl_sim::{BlockId, EngineStats, Model, SimOptions, SimResult, Simulator};
 use ecl_telemetry::bytes::{ByteReader, ByteWriter, CodecError};
-use ecl_telemetry::{Collector, Event, Histogram, Sink};
+use ecl_telemetry::{Collector, DigestMemo, Event, Histogram, Sink};
 
 use crate::delays::{self, DelayGraphConfig};
 use crate::faults::FaultPlan;
@@ -934,6 +934,19 @@ pub fn run_ideal(spec: &LoopSpec) -> Result<LoopResult, CoreError> {
 /// stretch); every other field is shared, so the digest space collapses
 /// to a handful of keys and the memo table actually hits.
 pub fn loop_spec_digest(spec: &LoopSpec) -> u64 {
+    // Exhaustive: a new field fails to compile until it is hashed here.
+    let LoopSpec {
+        plant,
+        n_controls,
+        x0,
+        feedback,
+        input_memory,
+        ts,
+        horizon,
+        q_weight,
+        r_weight,
+        disturbance,
+    } = spec;
     let mut h = Fnv1a::new();
     let mat = |h: &mut Fnv1a, m: &Mat| {
         h.write_u64(m.rows() as u64);
@@ -942,28 +955,28 @@ pub fn loop_spec_digest(spec: &LoopSpec) -> u64 {
             h.write_f64(v);
         }
     };
-    mat(&mut h, spec.plant.a());
-    mat(&mut h, spec.plant.b());
-    mat(&mut h, spec.plant.c());
-    mat(&mut h, spec.plant.d());
-    h.write_u64(spec.n_controls as u64);
-    h.write_u64(spec.x0.len() as u64);
-    for &v in &spec.x0 {
+    mat(&mut h, plant.a());
+    mat(&mut h, plant.b());
+    mat(&mut h, plant.c());
+    mat(&mut h, plant.d());
+    h.write_u64(*n_controls as u64);
+    h.write_u64(x0.len() as u64);
+    for &v in x0 {
         h.write_f64(v);
     }
-    mat(&mut h, &spec.feedback);
-    match &spec.input_memory {
+    mat(&mut h, feedback);
+    match input_memory {
         None => h.write_u64(0),
         Some(ku) => {
             h.write_u64(1);
             mat(&mut h, ku);
         }
     }
-    h.write_f64(spec.ts);
-    h.write_f64(spec.horizon);
-    h.write_f64(spec.q_weight);
-    h.write_f64(spec.r_weight);
-    match spec.disturbance {
+    h.write_f64(*ts);
+    h.write_f64(*horizon);
+    h.write_f64(*q_weight);
+    h.write_f64(*r_weight);
+    match *disturbance {
         DisturbanceKind::None => h.write_u64(0),
         DisturbanceKind::Noise { std_dev, seed } => {
             h.write_u64(1);
@@ -974,53 +987,17 @@ pub fn loop_spec_digest(spec: &LoopSpec) -> u64 {
     h.finish()
 }
 
-/// A cached ideal run plus the number of times it was looked up.
-#[derive(Debug)]
-struct IdealSlot {
-    result: Arc<LoopResult>,
-    lookups: u64,
-}
-
-/// Memo map plus the count of lookups that *observed* a local miss and
-/// therefore simulated. Beyond one per distinct digest, those are racing
-/// double-computes whose losing results were discarded — wasted work,
-/// scheduling-dependent, sidecar-only (see
-/// [`IdealRunCache::races`]/[`ScheduledRunCache::races`]).
-#[derive(Debug)]
-struct MemoState<S> {
-    map: HashMap<u64, S>,
-    local_misses: u64,
-}
-
-impl<S> Default for MemoState<S> {
-    fn default() -> Self {
-        MemoState {
-            map: HashMap::new(),
-            local_misses: 0,
-        }
-    }
-}
-
-/// A thread-safe memo table from [`loop_spec_digest`] keys to
-/// [`run_ideal`] results.
+/// The [`DigestMemo`] from [`loop_spec_digest`] keys to [`run_ideal`]
+/// results.
 ///
 /// A scenario sweep re-simulates the stroboscopic reference once per
 /// scenario, but the reference depends only on the loop spec — and the
 /// sweep varies that spec along a single axis (the sampling period). A
 /// 10⁵-scenario sweep therefore needs only as many ideal runs as it has
 /// distinct periods; this table, shared by the sweep workers beside the
-/// [`ecl_aaa::ScheduleCache`], answers the rest from memory.
-///
-/// Same discipline as the schedule cache: the lock is held only around
-/// the map lookup/insert, never across the simulation, so a miss on one
-/// worker does not serialize the others (two workers racing on one key
-/// both compute the identical deterministic result; the second insert is
-/// a no-op). The [`hits`](IdealRunCache::hits)/
-/// [`misses`](IdealRunCache::misses) counters are derived from
-/// per-digest lookup counts, so they depend only on the multiset of
-/// digests looked up — identical for any worker count and claim order.
-/// They still must never enter a byte-compared sweep report that predates
-/// the memo; experiment sidecars are their place.
+/// [`ecl_aaa::ScheduleCache`], answers the rest from memory. Counting,
+/// locking, seeding and snapshotting are the memo's (through `Deref`);
+/// the simulation runs outside the lock, on a miss only.
 ///
 /// # Examples
 ///
@@ -1057,8 +1034,14 @@ impl<S> Default for MemoState<S> {
 /// # }
 /// ```
 #[derive(Debug, Default)]
-pub struct IdealRunCache {
-    state: Mutex<MemoState<IdealSlot>>,
+pub struct IdealRunCache(DigestMemo<LoopResult>);
+
+impl Deref for IdealRunCache {
+    type Target = DigestMemo<LoopResult>;
+
+    fn deref(&self) -> &DigestMemo<LoopResult> {
+        &self.0
+    }
 }
 
 impl IdealRunCache {
@@ -1078,12 +1061,8 @@ impl IdealRunCache {
 
     /// Like [`get_or_run`](IdealRunCache::get_or_run), also returning the
     /// [`loop_spec_digest`] key and whether *this* lookup was answered
-    /// from the cache.
-    ///
-    /// The hit flag is the caller's local observation (racing workers
-    /// both observe a miss), so it may only feed wall-clock sidecars;
-    /// deterministic artifacts use the order-invariant
-    /// [`hits`](IdealRunCache::hits)/[`misses`](IdealRunCache::misses).
+    /// from the cache (a local observation for wall-clock sidecars, see
+    /// [`DigestMemo::get_or_build`]).
     ///
     /// # Errors
     ///
@@ -1093,143 +1072,9 @@ impl IdealRunCache {
         spec: &LoopSpec,
     ) -> Result<(Arc<LoopResult>, u64, bool), CoreError> {
         let key = loop_spec_digest(spec);
-        if let Some(slot) = self
-            .state
-            .lock()
-            .expect("ideal memo lock")
-            .map
-            .get_mut(&key)
-        {
-            slot.lookups += 1;
-            return Ok((Arc::clone(&slot.result), key, true));
-        }
-        // Simulated outside the lock: the ideal run is a full
-        // co-simulation and must not serialize the pool.
-        let result = Arc::new(run_ideal(spec)?);
-        let mut state = self.state.lock().expect("ideal memo lock");
-        state.local_misses += 1;
-        let slot = state
-            .map
-            .entry(key)
-            .or_insert_with(|| IdealSlot { result, lookups: 0 });
-        slot.lookups += 1;
-        Ok((Arc::clone(&slot.result), key, false))
+        let (result, hit) = self.get_or_build(key, || run_ideal(spec))?;
+        Ok((result, key, hit))
     }
-
-    /// Counts `n` more lookups of `digest` answered by a caller that kept
-    /// the run it first looked up (a fleet lane's reused sweep variant):
-    /// [`hits`](IdealRunCache::hits) grows by `n`, as if they had reached the
-    /// table. A digest never looked up or seeded is ignored.
-    pub fn note_hits(&self, digest: u64, n: u64) {
-        if let Some(slot) = self
-            .state
-            .lock()
-            .expect("ideal memo lock")
-            .map
-            .get_mut(&digest)
-        {
-            slot.lookups += n;
-        }
-    }
-
-    /// Lookups beyond the first of their digest — what a serial run would
-    /// have answered from the cache. Derived from per-digest lookup
-    /// counts, so identical for any worker count.
-    pub fn hits(&self) -> u64 {
-        self.state
-            .lock()
-            .expect("ideal memo lock")
-            .map
-            .values()
-            .map(|slot| slot.lookups.saturating_sub(1))
-            .sum()
-    }
-
-    /// Distinct digests ever looked up — the ideal runs a serial sweep
-    /// would actually have simulated. Derived, order-invariant.
-    pub fn misses(&self) -> u64 {
-        self.len() as u64
-    }
-
-    /// Total lookups across all digests (`hits + misses`).
-    pub fn lookups(&self) -> u64 {
-        self.state
-            .lock()
-            .expect("ideal memo lock")
-            .map
-            .values()
-            .map(|slot| slot.lookups)
-            .sum()
-    }
-
-    /// Racing double-computes: lookups that observed a local miss (and
-    /// simulated) beyond the first of their digest. The losers' results
-    /// were discarded — pure wasted work. Thread-interleaving-dependent,
-    /// so report it only in wall-clock sidecars, never in deterministic
-    /// artifacts.
-    pub fn races(&self) -> u64 {
-        let state = self.state.lock().expect("ideal memo lock");
-        state.local_misses.saturating_sub(state.map.len() as u64)
-    }
-
-    /// Lookups that actually simulated in *this* process — unlike
-    /// [`misses`](IdealRunCache::misses) it excludes entries answered
-    /// from a [`seed`](IdealRunCache::seed)ed (on-disk) result, so a
-    /// warm-started daemon can assert it re-simulated nothing. Includes
-    /// racing double-computes — sidecar-only.
-    pub fn computes(&self) -> u64 {
-        self.state.lock().expect("ideal memo lock").local_misses
-    }
-
-    /// Inserts a run computed by an earlier process under its
-    /// [`loop_spec_digest`] key — the warm-start path of the on-disk
-    /// cache layer (typically a metrics-grade
-    /// [`LoopResult::from_metric_bytes`] decode). Returns `false` and
-    /// keeps the resident entry when the digest is already cached.
-    /// Seeding is not a lookup and not a compute.
-    pub fn seed(&self, digest: u64, result: LoopResult) -> bool {
-        let mut state = self.state.lock().expect("ideal memo lock");
-        match state.map.entry(digest) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(IdealSlot {
-                    result: Arc::new(result),
-                    lookups: 0,
-                });
-                true
-            }
-        }
-    }
-
-    /// Every cached `(digest, run)` pair, sorted by digest — the
-    /// write-back path of the on-disk cache layer.
-    pub fn snapshot(&self) -> Vec<(u64, Arc<LoopResult>)> {
-        let state = self.state.lock().expect("ideal memo lock");
-        let mut out: Vec<_> = state
-            .map
-            .iter()
-            .map(|(&digest, slot)| (digest, Arc::clone(&slot.result)))
-            .collect();
-        out.sort_by_key(|&(digest, _)| digest);
-        out
-    }
-
-    /// Number of distinct ideal runs currently cached.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("ideal memo lock").map.len()
-    }
-
-    /// `true` when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A cached scheduled run plus the number of times it was looked up.
-#[derive(Debug)]
-struct ScheduledSlot {
-    result: Arc<LoopResult>,
-    lookups: u64,
 }
 
 /// Content digest of one scheduled (possibly faulty) co-simulation:
@@ -1261,7 +1106,7 @@ pub fn scheduled_run_digest(
     h.finish()
 }
 
-/// A thread-safe memo table from [`scheduled_run_digest`] keys to
+/// The [`DigestMemo`] from [`scheduled_run_digest`] keys to
 /// [`run_scheduled`]/[`run_scheduled_faulty`] results.
 ///
 /// The exp16 profiler attributes ~93% of sweep time to scheduled
@@ -1271,19 +1116,18 @@ pub fn scheduled_run_digest(
 /// zero-rate fault axes collapse onto the nominal plan. Most of that 93%
 /// is therefore recomputation of byte-identical [`LoopResult`]s — this
 /// table, shared by the sweep workers beside [`IdealRunCache`] and
-/// [`ecl_aaa::ScheduleCache`], answers them from memory.
-///
-/// Same discipline as its two siblings: the lock is held only around the
-/// map lookup/insert, never across the co-simulation (racing workers
-/// both compute the identical deterministic result; the second insert is
-/// a no-op), and [`hits`](ScheduledRunCache::hits)/
-/// [`misses`](ScheduledRunCache::misses) are derived from per-digest
-/// lookup counts, so they are identical for any worker count and claim
-/// order. They still belong beside — never inside — byte-compared sweep
-/// artifacts.
+/// [`ecl_aaa::ScheduleCache`], answers them from memory. Counting,
+/// locking, seeding and snapshotting are the memo's (through `Deref`);
+/// the co-simulation runs outside the lock, on a miss only.
 #[derive(Debug, Default)]
-pub struct ScheduledRunCache {
-    state: Mutex<MemoState<ScheduledSlot>>,
+pub struct ScheduledRunCache(DigestMemo<LoopResult>);
+
+impl Deref for ScheduledRunCache {
+    type Target = DigestMemo<LoopResult>;
+
+    fn deref(&self) -> &DigestMemo<LoopResult> {
+        &self.0
+    }
 }
 
 impl ScheduledRunCache {
@@ -1319,13 +1163,9 @@ impl ScheduledRunCache {
     /// Like [`get_or_run`](ScheduledRunCache::get_or_run), also returning
     /// the [`scheduled_run_digest`] key, whether *this* lookup was
     /// answered from the cache, and the synthesis/simulation wall-clock
-    /// split of the run (zero on a hit — nothing was simulated).
-    ///
-    /// The hit flag and the phase split are this caller's wall-clock
-    /// observations (racing workers both observe a miss), so they may
-    /// only feed profiler sidecars; deterministic artifacts use the
-    /// order-invariant [`hits`](ScheduledRunCache::hits)/
-    /// [`misses`](ScheduledRunCache::misses).
+    /// split of the run (zero on a hit — nothing was simulated). The hit
+    /// flag and the split are this caller's wall-clock observations, for
+    /// profiler sidecars only.
     ///
     /// # Errors
     ///
@@ -1342,133 +1182,14 @@ impl ScheduledRunCache {
         plan: Option<&FaultPlan>,
     ) -> Result<(Arc<LoopResult>, u64, bool, CosimPhases), CoreError> {
         let key = scheduled_run_digest(spec, schedule_digest, plan);
-        if let Some(slot) = self
-            .state
-            .lock()
-            .expect("scheduled memo lock")
-            .map
-            .get_mut(&key)
-        {
-            slot.lookups += 1;
-            return Ok((Arc::clone(&slot.result), key, true, CosimPhases::default()));
-        }
-        // Co-simulated outside the lock: this is the sweep's dominant
-        // phase and must not serialize the pool.
-        let (result, phases) = run_scheduled_phased(spec, alg, io, schedule, arch, plan.cloned())?;
-        let result = Arc::new(result);
-        let mut state = self.state.lock().expect("scheduled memo lock");
-        state.local_misses += 1;
-        let slot = state
-            .map
-            .entry(key)
-            .or_insert_with(|| ScheduledSlot { result, lookups: 0 });
-        slot.lookups += 1;
-        Ok((Arc::clone(&slot.result), key, false, phases))
-    }
-
-    /// Counts `n` more lookups of `digest` answered by a caller that kept
-    /// the run it first looked up (a fleet lane's reused sweep variant):
-    /// [`hits`](ScheduledRunCache::hits) grows by `n`, as if they had reached the
-    /// table. A digest never looked up or seeded is ignored.
-    pub fn note_hits(&self, digest: u64, n: u64) {
-        if let Some(slot) = self
-            .state
-            .lock()
-            .expect("scheduled memo lock")
-            .map
-            .get_mut(&digest)
-        {
-            slot.lookups += n;
-        }
-    }
-
-    /// Lookups beyond the first of their digest — what a serial run would
-    /// have answered from the cache. Derived from per-digest lookup
-    /// counts, so identical for any worker count.
-    pub fn hits(&self) -> u64 {
-        self.state
-            .lock()
-            .expect("scheduled memo lock")
-            .map
-            .values()
-            .map(|slot| slot.lookups.saturating_sub(1))
-            .sum()
-    }
-
-    /// Distinct digests ever looked up — the scheduled runs a serial
-    /// sweep would actually have co-simulated. Derived, order-invariant.
-    pub fn misses(&self) -> u64 {
-        self.len() as u64
-    }
-
-    /// Total lookups across all digests (`hits + misses`).
-    pub fn lookups(&self) -> u64 {
-        self.state
-            .lock()
-            .expect("scheduled memo lock")
-            .map
-            .values()
-            .map(|slot| slot.lookups)
-            .sum()
-    }
-
-    /// Racing double-computes: local-miss observations beyond the first
-    /// of their digest. Thread-interleaving-dependent — sidecar-only.
-    pub fn races(&self) -> u64 {
-        let state = self.state.lock().expect("scheduled memo lock");
-        state.local_misses.saturating_sub(state.map.len() as u64)
-    }
-
-    /// Lookups that actually co-simulated in *this* process — unlike
-    /// [`misses`](ScheduledRunCache::misses) it excludes entries answered
-    /// from a [`seed`](ScheduledRunCache::seed)ed (on-disk) result, so a
-    /// warm-started daemon can assert it re-simulated nothing. Includes
-    /// racing double-computes — sidecar-only.
-    pub fn computes(&self) -> u64 {
-        self.state.lock().expect("scheduled memo lock").local_misses
-    }
-
-    /// Inserts a run computed by an earlier process under its
-    /// [`scheduled_run_digest`] key — the warm-start path of the on-disk
-    /// cache layer (typically a metrics-grade
-    /// [`LoopResult::from_metric_bytes`] decode). Returns `false` and
-    /// keeps the resident entry when the digest is already cached.
-    /// Seeding is not a lookup and not a compute.
-    pub fn seed(&self, digest: u64, result: LoopResult) -> bool {
-        let mut state = self.state.lock().expect("scheduled memo lock");
-        match state.map.entry(digest) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(ScheduledSlot {
-                    result: Arc::new(result),
-                    lookups: 0,
-                });
-                true
-            }
-        }
-    }
-
-    /// Every cached `(digest, run)` pair, sorted by digest — the
-    /// write-back path of the on-disk cache layer.
-    pub fn snapshot(&self) -> Vec<(u64, Arc<LoopResult>)> {
-        let state = self.state.lock().expect("scheduled memo lock");
-        let mut out: Vec<_> = state
-            .map
-            .iter()
-            .map(|(&digest, slot)| (digest, Arc::clone(&slot.result)))
-            .collect();
-        out.sort_by_key(|&(digest, _)| digest);
-        out
-    }
-
-    /// Number of distinct scheduled runs currently cached.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("scheduled memo lock").map.len()
-    }
-
-    /// `true` when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        let mut phases = CosimPhases::default();
+        let (result, hit) = self.get_or_build(key, || {
+            let (result, run_phases) =
+                run_scheduled_phased(spec, alg, io, schedule, arch, plan.cloned())?;
+            phases = run_phases;
+            Ok::<_, CoreError>(result)
+        })?;
+        Ok((result, key, hit, phases))
     }
 }
 
@@ -1944,29 +1665,6 @@ mod tests {
         assert_eq!(cache.len(), 2);
     }
 
-    /// Digest-derived memo counters are exact under racing lookups,
-    /// mirroring the `ScheduleCache` guarantee the sweep relies on.
-    #[test]
-    fn ideal_memo_counters_are_thread_exact() {
-        let mut spec = dc_motor_spec();
-        spec.horizon = 0.25;
-        let cache = Arc::new(IdealRunCache::new());
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let cache = Arc::clone(&cache);
-                let spec = &spec;
-                scope.spawn(move || {
-                    for _ in 0..4 {
-                        cache.get_or_run(spec).unwrap();
-                    }
-                });
-            }
-        });
-        assert_eq!((cache.hits(), cache.misses()), (15, 1));
-        assert_eq!(cache.lookups(), 16);
-        assert_eq!(cache.len(), 1);
-    }
-
     #[test]
     fn scheduled_loop_shows_latency_and_costs_more() {
         // Aggressive LQR (cheap control) on the DC motor: the tighter the
@@ -2222,34 +1920,6 @@ mod tests {
             scheduled_run_digest(&spec, 1, Some(&other_plan)),
             "plans with different digests must key differently"
         );
-    }
-
-    /// Digest-derived memo counters are exact under racing lookups,
-    /// mirroring the `ScheduleCache`/`IdealRunCache` guarantee.
-    #[test]
-    fn scheduled_memo_counters_are_thread_exact() {
-        let (mut spec, alg, io, schedule, arch) = split_fixture();
-        spec.horizon = 0.25;
-        let cache = Arc::new(ScheduledRunCache::new());
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let cache = Arc::clone(&cache);
-                let (spec, alg, io, schedule, arch) = (&spec, &alg, &io, &schedule, &arch);
-                scope.spawn(move || {
-                    for _ in 0..4 {
-                        cache
-                            .get_or_run(spec, alg, io, schedule, arch, 7, None)
-                            .unwrap();
-                    }
-                });
-            }
-        });
-        assert_eq!((cache.hits(), cache.misses()), (15, 1));
-        assert_eq!(cache.lookups(), 16);
-        assert_eq!(cache.len(), 1);
-        // Races are bounded by the losing local misses: at most one per
-        // thread beyond the winner.
-        assert!(cache.races() <= 3);
     }
 
     #[test]

@@ -411,24 +411,34 @@ impl FaultPlan {
     /// coincide but whose shapes differ (e.g. an outage row moved into a
     /// comm-fault row) cannot alias.
     pub fn digest(&self) -> u64 {
+        // Exhaustive: a new field fails to compile until it is hashed
+        // here or skipped by name. `counts` tallies what the other
+        // fields already determine.
+        let FaultPlan {
+            periods,
+            proc_dead_from,
+            outage,
+            comm_faults,
+            counts: _,
+        } = self;
         let mut h = Fnv1a::new();
-        h.write_u64(u64::from(self.periods));
-        h.write_u64(self.proc_dead_from.len() as u64);
-        for d in &self.proc_dead_from {
+        h.write_u64(u64::from(*periods));
+        h.write_u64(proc_dead_from.len() as u64);
+        for d in proc_dead_from {
             h.write_u64(match d {
                 Some(k) => u64::from(*k) + 1,
                 None => 0,
             });
         }
-        h.write_u64(self.outage.len() as u64);
-        for per_medium in &self.outage {
+        h.write_u64(outage.len() as u64);
+        for per_medium in outage {
             h.write_u64(per_medium.len() as u64);
             for &o in per_medium {
                 h.write_u64(u64::from(o));
             }
         }
-        h.write_u64(self.comm_faults.len() as u64);
-        for per_slot in &self.comm_faults {
+        h.write_u64(comm_faults.len() as u64);
+        for per_slot in comm_faults {
             h.write_u64(per_slot.len() as u64);
             for f in per_slot {
                 h.write_u64(match f {

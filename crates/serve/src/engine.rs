@@ -87,9 +87,9 @@ pub struct JobReport {
     pub payload_digest: u64,
     /// Where the payload came from this time.
     pub source: ResponseSource,
-    /// Schedules computed by this engine since construction
-    /// ([`ecl_aaa::ScheduleCache::computes`]); stays 0 on a warm-started
-    /// engine answering known requests.
+    /// Schedules computed by this engine since construction (the
+    /// schedule cache's [`computes`](ecl_telemetry::DigestMemo::computes));
+    /// stays 0 on a warm-started engine answering known requests.
     pub sched_computes: u64,
 }
 

@@ -250,31 +250,49 @@ impl SweepRequest {
     /// queue and the delta cadence, and a response memo keyed on them
     /// would re-sweep identical jobs.
     pub fn digest(&self) -> u64 {
+        // Exhaustive: a new field fails to compile until it is hashed
+        // here or skipped by name.
+        let SweepRequest {
+            case,
+            seed,
+            scenarios,
+            priority: _,
+            chunk: _,
+            wcet_jitter,
+            wcet_tables,
+            period_scales,
+            policies,
+            frame_loss,
+            link_outage,
+            proc_dropout,
+            max_retries,
+            outage_periods,
+        } = self;
         let mut h = Fnv1a::new();
-        h.write_str(&self.case);
-        h.write_u64(self.seed);
-        h.write_u64(self.scenarios as u64);
-        h.write_f64(self.wcet_jitter);
-        h.write_u64(self.wcet_tables as u64);
+        h.write_str(case);
+        h.write_u64(*seed);
+        h.write_u64(*scenarios as u64);
+        h.write_f64(*wcet_jitter);
+        h.write_u64(*wcet_tables as u64);
         let list = |h: &mut Fnv1a, values: &[f64]| {
             h.write_u64(values.len() as u64);
             for &v in values {
                 h.write_f64(v);
             }
         };
-        list(&mut h, &self.period_scales);
-        h.write_u64(self.policies.len() as u64);
-        for p in &self.policies {
+        list(&mut h, period_scales);
+        h.write_u64(policies.len() as u64);
+        for p in policies {
             h.write_u64(match p {
                 Policy::Pressure => 0,
                 Policy::Earliest => 1,
             });
         }
-        list(&mut h, &self.frame_loss);
-        list(&mut h, &self.link_outage);
-        list(&mut h, &self.proc_dropout);
-        h.write_u64(u64::from(self.max_retries));
-        h.write_u64(u64::from(self.outage_periods));
+        list(&mut h, frame_loss);
+        list(&mut h, link_outage);
+        list(&mut h, proc_dropout);
+        h.write_u64(u64::from(*max_retries));
+        h.write_u64(u64::from(*outage_periods));
         h.finish()
     }
 
@@ -413,7 +431,8 @@ pub enum ServerMsg {
     /// Job finished; `sched_computes` is the daemon's lifetime count of
     /// schedules actually computed (0 on a fully warm-started daemon).
     Done {
-        /// [`ecl_aaa::ScheduleCache::computes`] after this job.
+        /// The schedule cache's
+        /// [`computes`](ecl_telemetry::DigestMemo::computes) after this job.
         sched_computes: u64,
     },
     /// Counter sidecar, as `name value` pairs.

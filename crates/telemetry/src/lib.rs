@@ -19,7 +19,10 @@
 //!   minimal parser used to validate emitted traces in tests;
 //! - [`profile`] — the fleet profiler: per-worker, per-phase attribution
 //!   of sweep wall time ([`WorkerProfile`] hot-path buffers merged
-//!   index-ordered into a [`ProfileReport`] sidecar).
+//!   index-ordered into a [`ProfileReport`] sidecar);
+//! - [`DigestMemo`] — the one content-addressed memo table behind every
+//!   memoized lifecycle stage (compute outside the lock, digest-derived
+//!   hit/miss counters, seed/snapshot for the on-disk store).
 //!
 //! Everything sim-derived in an [`Event`] carries integer nanoseconds of
 //! *simulated* time; wall-clock appears only in span events. Recording a
@@ -53,6 +56,7 @@ mod counts;
 mod event;
 mod hist;
 pub mod json;
+mod memo;
 pub mod profile;
 pub mod trace;
 
@@ -60,4 +64,5 @@ pub use collector::Collector;
 pub use counts::Counts;
 pub use event::{Event, NoopSink, PrefixSink, RecordingSink, Sink};
 pub use hist::{Histogram, Summary};
+pub use memo::DigestMemo;
 pub use profile::{Phase, ProfileReport, ProfileSpan, WorkerProfile};

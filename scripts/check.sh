@@ -19,12 +19,18 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test (workspace) =="
 cargo test --workspace -q --offline
 
-# Benchmark smoke: perfbench's sweep_memo workload drives run_sweep's
-# variant-reuse path and checks its rows against unmemoized, unpruned
-# run_scenario reference rows; any disagreement exits non-zero.
-echo "== perfbench sweep_memo smoke =="
-cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
-    --workload sweep_memo --seed 1 --seconds 1 --trace 0 >/dev/null
+# Benchmark smokes: each perfbench workload checks its own rows or
+# payloads and exits non-zero on any disagreement. sweep_memo drives
+# run_sweep's variant-reuse path against unmemoized, unpruned
+# run_scenario reference rows; sweep_faults drives the faulty
+# scheduled-run memo; serve_open restarts the daemon on a warm disk
+# store (the memo tables' seed/snapshot path) and byte-compares every
+# payload with an in-process Engine.
+for workload in sweep_memo sweep_faults serve_open; do
+    echo "== perfbench $workload smoke =="
+    cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 >/dev/null
+done
 
 # The fleet/histogram/latency tests assert worker-count invariance; run
 # them again single-threaded so a scheduling-dependent bug cannot hide
