@@ -1,11 +1,13 @@
 //! Criterion benches of the co-simulation pipeline: ideal loop, graph-of-
-//! delays synthesis, and the scheduled end-to-end run.
+//! delays synthesis, the scheduled end-to-end run, and the runs a sweep
+//! computes on a co-simulation memo miss.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ecl_aaa::{adequation, AdequationOptions, TimeNs};
 use ecl_bench::{dc_motor_loop, split_scenario};
 use ecl_core::cosim;
 use ecl_core::delays::{self, DelayGraphConfig};
+use ecl_core::faults::{FaultConfig, FaultPlan};
 use ecl_sim::Model;
 
 fn bench_ideal(c: &mut Criterion) {
@@ -78,10 +80,75 @@ fn bench_scheduled(c: &mut Criterion) {
     });
 }
 
+/// The runs a sweep over the standard deployment (the DC-motor loop at a
+/// 50 ms horizon on the two-sensor, one-actuator split architecture)
+/// computes on a memo miss: the scheduled run, nominal and under a fixed
+/// frame-loss plan, and the ideal run.
+fn bench_sweep_miss(c: &mut Criterion) {
+    let spec = dc_motor_loop(0.05).expect("valid");
+    let scenario = split_scenario(
+        2,
+        1,
+        TimeNs::from_micros(200),
+        TimeNs::from_micros(50),
+        TimeNs::from_micros(500),
+    )
+    .expect("valid");
+    let schedule = adequation(
+        &scenario.alg,
+        &scenario.arch,
+        &scenario.db,
+        AdequationOptions::default(),
+    )
+    .expect("ok");
+    let periods = (spec.horizon / spec.ts).floor().max(1.0) as u32;
+    let plan = FaultPlan::generate(
+        &FaultConfig {
+            seed: 1,
+            frame_loss_rate: 0.2,
+            ..FaultConfig::default()
+        },
+        &schedule,
+        &scenario.arch,
+        periods,
+    )
+    .expect("valid plan");
+    assert!(!plan.is_trivial(), "the faulty bench must inject faults");
+    c.bench_function("cosim_sweep_miss_scheduled_50ms", |bench| {
+        bench.iter(|| {
+            cosim::run_scheduled(
+                &spec,
+                &scenario.alg,
+                &scenario.io,
+                &schedule,
+                &scenario.arch,
+            )
+            .expect("ok")
+        })
+    });
+    c.bench_function("cosim_sweep_miss_faulty_50ms", |bench| {
+        bench.iter(|| {
+            cosim::run_scheduled_faulty(
+                &spec,
+                &scenario.alg,
+                &scenario.io,
+                &schedule,
+                &scenario.arch,
+                plan.clone(),
+            )
+            .expect("ok")
+        })
+    });
+    c.bench_function("cosim_sweep_miss_ideal_50ms", |bench| {
+        bench.iter(|| cosim::run_ideal(&spec).expect("ok"))
+    });
+}
+
 criterion_group!(
     benches,
     bench_ideal,
     bench_delay_graph_build,
-    bench_scheduled
+    bench_scheduled,
+    bench_sweep_miss
 );
 criterion_main!(benches);

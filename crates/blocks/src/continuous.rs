@@ -31,6 +31,9 @@ impl Block for Integrator {
     fn ports(&self) -> PortSpec {
         PortSpec::siso(1, 1)
     }
+    fn depends_on_time(&self) -> bool {
+        false
+    }
     fn feedthrough(&self, _input: usize) -> bool {
         false
     }
@@ -149,6 +152,9 @@ impl Block for StateSpaceCt {
     }
     fn ports(&self) -> PortSpec {
         PortSpec::siso(self.m, self.p)
+    }
+    fn depends_on_time(&self) -> bool {
+        false
     }
     fn feedthrough(&self, input: usize) -> bool {
         // Direct feedthrough from input j iff column j of D is nonzero.

@@ -40,6 +40,9 @@ impl Block for UnitDelay {
     fn ports(&self) -> PortSpec {
         PortSpec::new(1, 1, 1, 0)
     }
+    fn depends_on_time(&self) -> bool {
+        false
+    }
     fn feedthrough(&self, _input: usize) -> bool {
         false
     }
@@ -170,6 +173,9 @@ impl Block for DiscreteStateSpace {
     }
     fn ports(&self) -> PortSpec {
         PortSpec::new(self.m, self.p, 1, 0)
+    }
+    fn depends_on_time(&self) -> bool {
+        false
     }
     fn feedthrough(&self, _input: usize) -> bool {
         false // outputs are latched at activation
@@ -308,6 +314,9 @@ impl Block for PidBlock {
     }
     fn ports(&self) -> PortSpec {
         PortSpec::new(2, 1, 1, 0)
+    }
+    fn depends_on_time(&self) -> bool {
+        false
     }
     fn feedthrough(&self, _input: usize) -> bool {
         false

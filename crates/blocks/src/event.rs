@@ -68,6 +68,9 @@ impl Block for Clock {
     fn ports(&self) -> PortSpec {
         PortSpec::event_pipe(1, 1)
     }
+    fn depends_on_time(&self) -> bool {
+        false
+    }
     fn on_start(&mut self, actions: &mut EventActions) {
         actions.emit(0, self.offset);
     }
@@ -155,6 +158,9 @@ impl Block for EventDelay {
     }
     fn ports(&self) -> PortSpec {
         PortSpec::event_pipe(1, 1)
+    }
+    fn depends_on_time(&self) -> bool {
+        false
     }
     fn on_event(&mut self, _port: usize, _t: TimeNs, ctx: &mut EventCtx<'_>) {
         ctx.actions.emit(0, self.delay);
@@ -257,6 +263,9 @@ impl Block for FaultyDelay {
     fn ports(&self) -> PortSpec {
         PortSpec::event_pipe(1, 1)
     }
+    fn depends_on_time(&self) -> bool {
+        false
+    }
     fn on_event(&mut self, _port: usize, _t: TimeNs, ctx: &mut EventCtx<'_>) {
         let k = self.activations as usize;
         self.activations += 1;
@@ -343,6 +352,9 @@ impl Block for EventSelect {
     }
     fn ports(&self) -> PortSpec {
         PortSpec::new(1, 0, 1, self.n)
+    }
+    fn depends_on_time(&self) -> bool {
+        false
     }
     fn on_event(&mut self, _port: usize, _t: TimeNs, ctx: &mut EventCtx<'_>) {
         let k = (self.mapping)(ctx.inputs[0]).min(self.n - 1);
@@ -457,6 +469,9 @@ impl Block for Synchronization {
         let extra = usize::from(self.timeout.is_some());
         PortSpec::new(0, 0, self.received.len() + extra, 1)
     }
+    fn depends_on_time(&self) -> bool {
+        false
+    }
     fn on_event(&mut self, port: usize, _t: TimeNs, ctx: &mut EventCtx<'_>) {
         if self.timeout.is_some() && port == self.received.len() {
             let arm = self.timeout.as_mut().expect("timeout arm present");
@@ -523,6 +538,9 @@ impl Block for SampleHold {
     }
     fn ports(&self) -> PortSpec {
         PortSpec::new(1, 1, 1, 0)
+    }
+    fn depends_on_time(&self) -> bool {
+        false
     }
     fn feedthrough(&self, _input: usize) -> bool {
         false

@@ -37,6 +37,9 @@ impl Block for DeadZone {
     fn ports(&self) -> PortSpec {
         PortSpec::siso(1, 1)
     }
+    fn depends_on_time(&self) -> bool {
+        false
+    }
     fn outputs(&mut self, _t: f64, _x: &[f64], u: &[f64], y: &mut [f64]) {
         let v = u[0];
         y[0] = if v > self.width {
@@ -93,6 +96,9 @@ impl Block for RateLimiter {
     }
     fn ports(&self) -> PortSpec {
         PortSpec::new(1, 1, 1, 0)
+    }
+    fn depends_on_time(&self) -> bool {
+        false
     }
     fn feedthrough(&self, _input: usize) -> bool {
         false
@@ -154,6 +160,9 @@ impl Block for SampledDelayLine {
     }
     fn ports(&self) -> PortSpec {
         PortSpec::new(1, 1, 1, 0)
+    }
+    fn depends_on_time(&self) -> bool {
+        false
     }
     fn feedthrough(&self, _input: usize) -> bool {
         false
@@ -218,6 +227,9 @@ impl Block for Relay {
     }
     fn ports(&self) -> PortSpec {
         PortSpec::new(1, 1, 1, 0)
+    }
+    fn depends_on_time(&self) -> bool {
+        false
     }
     fn feedthrough(&self, _input: usize) -> bool {
         false

@@ -42,6 +42,9 @@ impl Block for Scope {
     fn ports(&self) -> PortSpec {
         PortSpec::new(1, 0, 1, 0)
     }
+    fn depends_on_time(&self) -> bool {
+        false
+    }
     fn feedthrough(&self, _input: usize) -> bool {
         false
     }

@@ -127,6 +127,12 @@ pub struct EventCtx<'a> {
 /// 1. **Output pass** — [`Block::outputs`] maps (time, continuous state,
 ///    inputs) to outputs. Must be *idempotent*: it may be called many times
 ///    per instant (once per ODE stage) and must not advance logical state.
+///    Between events the engine re-evaluates only the *continuous cone*:
+///    blocks that have continuous state, [depend on
+///    time](Block::depends_on_time), or have a [feedthrough](Block::feedthrough)
+///    input driven by such a block, and whose outputs the derivative pass
+///    reads. Every other block keeps the output of the last full pass,
+///    which idempotency makes equal to a fresh evaluation.
 /// 2. **Derivative pass** — [`Block::derivatives`] fills `dx` for blocks
 ///    with continuous state ([`Block::num_states`] > 0).
 /// 3. **Event pass** — [`Block::on_event`] runs when an activation event
@@ -155,6 +161,20 @@ pub trait Block: Send + 'static {
     /// sample-and-hold) should return `false`.
     fn feedthrough(&self, input: usize) -> bool {
         let _ = input;
+        true
+    }
+
+    /// `true` if some regular output depends on the time argument of
+    /// [`Block::outputs`] (the Scicos `dep_t` flag, beside
+    /// [`Block::feedthrough`]'s `dep_u`).
+    ///
+    /// A block returning `false` promises that, with its discrete state,
+    /// continuous state and feedthrough inputs unchanged, [`Block::outputs`]
+    /// writes the same values at any `t`. The engine relies on that to skip
+    /// the block between events when it has no continuous state and none
+    /// of its feedthrough inputs can move. Defaults to `true`
+    /// (conservative): a block that reads `t` is then always correct.
+    fn depends_on_time(&self) -> bool {
         true
     }
 
@@ -267,6 +287,7 @@ mod tests {
     fn default_trait_methods() {
         let mut b = Nop;
         assert!(b.feedthrough(0));
+        assert!(b.depends_on_time());
         assert_eq!(b.num_states(), 0);
         let mut x = [1.0, 2.0];
         b.init_states(&mut x);

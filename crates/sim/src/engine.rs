@@ -48,20 +48,11 @@ impl Default for SimOptions {
 pub struct Simulator {
     model: Model,
     opts: SimOptions,
-    /// Per-block offset into the flat input value buffer.
-    in_off: Vec<usize>,
-    /// Per-block offset into the flat output value buffer.
-    out_off: Vec<usize>,
-    /// Per-block offset into the flat continuous state vector.
-    state_off: Vec<usize>,
+    layout: Layout,
     /// Flat input values (rewritten on every output pass).
     inputs: Vec<f64>,
     /// Flat output values.
     outputs: Vec<f64>,
-    /// For each flat input index, the flat output index driving it.
-    input_src: Vec<Option<usize>>,
-    /// Block evaluation order (topological over feedthrough edges).
-    eval_order: Vec<usize>,
     /// `evt_routes[block][out_port]` lists `(target, event_in)` pairs.
     evt_routes: Vec<Vec<Vec<(usize, usize)>>>,
     /// For each probe, the flat output index it reads (structure-of-arrays
@@ -69,6 +60,9 @@ pub struct Simulator {
     probe_src: Vec<usize>,
     /// Joint continuous state.
     x: Vec<f64>,
+    /// Integrator stage buffers, sized for `x` (growth bumps
+    /// `EngineStats::hot_allocs`).
+    ode_ws: ode::Workspace,
     calendar: EventCalendar,
     now: TimeNs,
     started: bool,
@@ -77,6 +71,70 @@ pub struct Simulator {
     scratch_actions: EventActions,
     result: SimResult,
     stats: EngineStats,
+    /// Integrate with the full-pass reference right-hand side.
+    #[cfg(test)]
+    full_pass: bool,
+}
+
+/// The flat signal/state layout of a model and the evaluation schedules
+/// derived from its wiring, frozen by [`Simulator::new`].
+#[derive(Debug)]
+struct Layout {
+    /// Block `b`'s inputs are `inputs[in_off[b]..in_off[b + 1]]`.
+    in_off: Vec<usize>,
+    /// Block `b`'s outputs are `outputs[out_off[b]..out_off[b + 1]]`.
+    out_off: Vec<usize>,
+    /// Block `b`'s states are `x[state_off[b]..state_off[b + 1]]`.
+    state_off: Vec<usize>,
+    /// For each flat input, the flat output driving it.
+    input_src: Vec<usize>,
+    /// Every block, topologically ordered over feedthrough edges: the
+    /// committed output pass.
+    eval_order: Vec<usize>,
+    /// The continuous cone, in `eval_order`: the blocks whose outputs can
+    /// change between events and that the derivative pass reads.
+    cone: Vec<usize>,
+    /// The blocks with continuous state.
+    stateful: Vec<usize>,
+}
+
+impl Layout {
+    /// Copies block `b`'s inputs from their driving outputs.
+    fn pull_inputs(&self, b: usize, inputs: &mut [f64], outputs: &[f64]) {
+        for gi in self.in_off[b]..self.in_off[b + 1] {
+            inputs[gi] = outputs[self.input_src[gi]];
+        }
+    }
+
+    /// Pulls block `b`'s inputs, then evaluates its outputs at `(t, x)`.
+    fn eval_block(
+        &self,
+        entry: &mut Entry,
+        b: usize,
+        t: f64,
+        x: &[f64],
+        inputs: &mut [f64],
+        outputs: &mut [f64],
+    ) {
+        self.pull_inputs(b, inputs, outputs);
+        let outs = &mut outputs[self.out_off[b]..self.out_off[b + 1]];
+        if outs.is_empty() {
+            return;
+        }
+        let xs = &x[self.state_off[b]..self.state_off[b + 1]];
+        entry
+            .block
+            .outputs(t, xs, &inputs[self.in_off[b]..self.in_off[b + 1]], outs);
+    }
+}
+
+/// Prefix sums of `counts`: `n + 1` offsets, the last one the total.
+fn offsets(counts: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut off = vec![0];
+    for c in counts {
+        off.push(off[off.len() - 1] + c);
+    }
+    off
 }
 
 impl Simulator {
@@ -88,27 +146,19 @@ impl Simulator {
     /// * [`SimError::AlgebraicLoop`] if the feedthrough graph is cyclic.
     pub fn new(model: Model, opts: SimOptions) -> Result<Self, SimError> {
         let n = model.entries.len();
-        let mut in_off = Vec::with_capacity(n);
-        let mut out_off = Vec::with_capacity(n);
-        let mut state_off = Vec::with_capacity(n);
-        let (mut ni, mut no, mut ns) = (0usize, 0usize, 0usize);
-        for e in &model.entries {
-            in_off.push(ni);
-            out_off.push(no);
-            state_off.push(ns);
-            ni += e.spec.inputs;
-            no += e.spec.outputs;
-            ns += e.block.num_states();
-        }
+        let es = &model.entries;
+        let in_off = offsets(es.iter().map(|e| e.spec.inputs));
+        let out_off = offsets(es.iter().map(|e| e.spec.outputs));
+        let state_off = offsets(es.iter().map(|e| e.block.num_states()));
+        let (ni, no, ns) = (in_off[n], out_off[n], state_off[n]);
 
-        // Map each flat input to its driving flat output.
-        let mut input_src: Vec<Option<usize>> = vec![None; ni];
+        // Map each flat input to its driving flat output and block.
+        let mut input_src: Vec<Option<(usize, usize)>> = vec![None; ni];
         for c in &model.sig_conns {
             let gi = in_off[c.dst.index()] + c.inp;
-            let go = out_off[c.src.index()] + c.out;
-            input_src[gi] = Some(go);
+            input_src[gi] = Some((out_off[c.src.index()] + c.out, c.src.index()));
         }
-        for (b, e) in model.entries.iter().enumerate() {
+        for (b, e) in es.iter().enumerate() {
             for p in 0..e.spec.inputs {
                 if input_src[in_off[b] + p].is_none() {
                     return Err(SimError::UnconnectedInput {
@@ -118,13 +168,14 @@ impl Simulator {
                 }
             }
         }
+        let (input_src, driver): (Vec<usize>, Vec<usize>) = input_src.into_iter().flatten().unzip();
 
         // Topological sort over feedthrough edges (Kahn, stable order).
         let mut indeg = vec![0usize; n];
         let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
         for c in &model.sig_conns {
             let dst = c.dst.index();
-            if model.entries[dst].block.feedthrough(c.inp) {
+            if es[dst].block.feedthrough(c.inp) {
                 succ[c.src.index()].push(dst);
                 indeg[dst] += 1;
             }
@@ -146,14 +197,52 @@ impl Simulator {
         if eval_order.len() != n {
             let cyclic: Vec<String> = (0..n)
                 .filter(|&i| indeg[i] > 0)
-                .map(|i| model.entries[i].name.clone())
+                .map(|i| es[i].name.clone())
                 .collect();
             return Err(SimError::AlgebraicLoop { blocks: cyclic });
         }
 
+        // The continuous cone. A block is *moving* if its outputs can
+        // change between events: it has continuous state, depends on time,
+        // or has a feedthrough input driven by a moving block (propagated
+        // in topological order). Only moving blocks whose outputs the
+        // derivative pass reads — the drivers of a stateful block's
+        // inputs, closed over the inputs of every block so re-evaluated —
+        // are re-evaluated per right-hand-side call; every other output is
+        // frozen at the last committed pass.
+        let stateful: Vec<usize> = (0..n)
+            .filter(|&b| state_off[b + 1] > state_off[b])
+            .collect();
+        let mut moving: Vec<bool> = (0..n)
+            .map(|b| state_off[b + 1] > state_off[b] || es[b].block.depends_on_time())
+            .collect();
+        for &b in &eval_order {
+            if moving[b] {
+                for &s in &succ[b] {
+                    moving[s] = true;
+                }
+            }
+        }
+        let mut read = vec![false; n];
+        let mut pending = stateful.clone();
+        while let Some(b) = pending.pop() {
+            for &d in &driver[in_off[b]..in_off[b + 1]] {
+                if !read[d] {
+                    read[d] = true;
+                    if moving[d] {
+                        pending.push(d);
+                    }
+                }
+            }
+        }
+        let cone = eval_order
+            .iter()
+            .copied()
+            .filter(|&b| read[b] && moving[b])
+            .collect();
+
         // Event routing table.
-        let mut evt_routes: Vec<Vec<Vec<(usize, usize)>>> = model
-            .entries
+        let mut evt_routes: Vec<Vec<Vec<(usize, usize)>>> = es
             .iter()
             .map(|e| vec![Vec::new(); e.spec.event_outputs])
             .collect();
@@ -163,11 +252,10 @@ impl Simulator {
 
         // Continuous state initialization.
         let mut x = vec![0.0; ns];
-        for (b, e) in model.entries.iter().enumerate() {
-            let k = e.block.num_states();
-            if k > 0 {
-                e.block.init_states(&mut x[state_off[b]..state_off[b] + k]);
-            }
+        for &b in &stateful {
+            es[b]
+                .block
+                .init_states(&mut x[state_off[b]..state_off[b + 1]]);
         }
 
         let result = SimResult {
@@ -189,21 +277,28 @@ impl Simulator {
             stats: EngineStats::new(n),
             model,
             opts,
-            in_off,
-            out_off,
-            state_off,
+            layout: Layout {
+                in_off,
+                out_off,
+                state_off,
+                input_src,
+                eval_order,
+                cone,
+                stateful,
+            },
             inputs: vec![0.0; ni],
             outputs: vec![0.0; no],
-            input_src,
-            eval_order,
             evt_routes,
             probe_src,
             x,
+            ode_ws: ode::Workspace::new(ns),
             calendar: EventCalendar::new(),
             now: TimeNs::ZERO,
             started: false,
             scratch_actions: EventActions::with_capacity(8),
             result,
+            #[cfg(test)]
+            full_pass: false,
         })
     }
 
@@ -266,6 +361,10 @@ impl Simulator {
             }
             self.eval_outputs_committed();
             self.record_probes();
+        } else {
+            // `model_mut` may have retuned a block since the last committed
+            // pass; the right-hand side reads frozen outputs from it.
+            self.eval_outputs_committed();
         }
 
         loop {
@@ -314,25 +413,30 @@ impl Simulator {
             self.record_probes();
             return Ok(());
         }
+        self.stats.hot_allocs += self.ode_ws.fit(self.x.len());
         let dt = TimeNs::from_secs_f64(self.opts.record_dt.max(1e-12)).max(TimeNs::from_nanos(1));
         while self.now < t_end {
             let chunk_end = self.now.saturating_add(dt).min(t_end);
             let (a, b) = (self.now.as_secs_f64(), chunk_end.as_secs_f64());
-            {
-                let mut rhs = EngineRhs {
-                    entries: &mut self.model.entries,
-                    eval_order: &self.eval_order,
-                    in_off: &self.in_off,
-                    out_off: &self.out_off,
-                    state_off: &self.state_off,
-                    inputs: &mut self.inputs,
-                    outputs: &mut self.outputs,
-                    input_src: &self.input_src,
-                };
-                let ode_stats = ode::integrate(&mut rhs, a, b, &mut self.x, self.opts.integrator)?;
-                self.stats.ode.merge(ode_stats);
-                self.stats.integration_spans += 1;
-            }
+            let rhs = ConeRhs {
+                entries: &mut self.model.entries,
+                layout: &self.layout,
+                inputs: &mut self.inputs,
+                outputs: &mut self.outputs,
+            };
+            // Tests may swap in the full-pass reference.
+            #[cfg(test)]
+            let rhs = tests::Reference::pick(rhs, self.full_pass);
+            let ode_stats = ode::integrate_in(
+                &mut { rhs },
+                a,
+                b,
+                &mut self.x,
+                self.opts.integrator,
+                &mut self.ode_ws,
+            )?;
+            self.stats.ode.merge(ode_stats);
+            self.stats.integration_spans += 1;
             self.now = chunk_end;
             self.eval_outputs_committed();
             self.record_probes();
@@ -368,15 +472,15 @@ impl Simulator {
                 // Refresh signal values so the activated block sees current
                 // inputs (including effects of earlier same-instant events).
                 self.eval_outputs_committed();
-                let spec = self.model.entries[dst].spec;
                 let mut actions = std::mem::take(&mut self.scratch_actions);
                 let cap = actions.emissions.capacity();
                 {
                     // `inputs` is a shared borrow of the flat input buffer,
                     // `block` a mutable borrow of the model — disjoint
                     // fields, so no defensive copy is needed.
+                    let in_off = &self.layout.in_off;
                     let mut ctx = EventCtx {
-                        inputs: &self.inputs[self.in_off[dst]..self.in_off[dst] + spec.inputs],
+                        inputs: &self.inputs[in_off[dst]..in_off[dst + 1]],
                         actions: &mut actions,
                     };
                     self.model.entries[dst].block.on_event(port, now, &mut ctx);
@@ -428,20 +532,16 @@ impl Simulator {
         Ok(())
     }
 
-    /// Evaluates every block's outputs at the committed state and current
-    /// time, in topological order.
+    /// The committed output pass: every block's outputs at the committed
+    /// state and current time.
     fn eval_outputs_committed(&mut self) {
-        eval_outputs(
+        eval_all(
             &mut self.model.entries,
-            &self.eval_order,
-            &self.in_off,
-            &self.out_off,
-            &self.state_off,
-            &mut self.inputs,
-            &mut self.outputs,
-            &self.input_src,
+            &self.layout,
             self.now.as_secs_f64(),
             &self.x,
+            &mut self.inputs,
+            &mut self.outputs,
         );
     }
 
@@ -453,92 +553,55 @@ impl Simulator {
     }
 }
 
-/// Shared output-pass implementation, usable with borrowed engine pieces
-/// (needed so the ODE right-hand side can evaluate trial states while the
-/// state vector itself is mutably borrowed by the integrator).
-#[allow(clippy::too_many_arguments)]
-fn eval_outputs(
+/// Evaluates every block's outputs at `(t, x)` in topological order, then
+/// refreshes every input from the final outputs: non-feedthrough blocks
+/// may be ordered before their drivers, so the values pulled during the
+/// pass can be stale, and the event pass must see inputs consistent with
+/// the final outputs.
+fn eval_all(
     entries: &mut [Entry],
-    eval_order: &[usize],
-    in_off: &[usize],
-    out_off: &[usize],
-    state_off: &[usize],
-    inputs: &mut [f64],
-    outputs: &mut [f64],
-    input_src: &[Option<usize>],
+    layout: &Layout,
     t: f64,
     x: &[f64],
+    inputs: &mut [f64],
+    outputs: &mut [f64],
 ) {
-    for &b in eval_order {
-        let spec = entries[b].spec;
-        // Pull this block's inputs from the driving outputs.
-        for p in 0..spec.inputs {
-            let gi = in_off[b] + p;
-            if let Some(go) = input_src[gi] {
-                inputs[gi] = outputs[go];
-            }
-        }
-        if spec.outputs == 0 {
-            continue;
-        }
-        let ns = entries[b].block.num_states();
-        let xs = &x[state_off[b]..state_off[b] + ns];
-        // `ins` borrows `inputs` immutably while `outs` borrows `outputs`
-        // mutably — distinct buffers, so no defensive copy is needed.
-        let (ins, outs) = (
-            &inputs[in_off[b]..in_off[b] + spec.inputs],
-            &mut outputs[out_off[b]..out_off[b] + spec.outputs],
-        );
-        entries[b].block.outputs(t, xs, ins, outs);
+    for &b in &layout.eval_order {
+        layout.eval_block(&mut entries[b], b, t, x, inputs, outputs);
     }
-    // Refresh every input from the now-final outputs: non-feedthrough
-    // blocks may be ordered before their drivers, so the values pulled
-    // during the pass can be stale; derivative and event passes must see
-    // inputs consistent with the final outputs.
-    for (gi, src) in input_src.iter().enumerate() {
-        if let Some(go) = src {
-            inputs[gi] = outputs[*go];
-        }
+    for (gi, &go) in layout.input_src.iter().enumerate() {
+        inputs[gi] = outputs[go];
     }
 }
 
-/// ODE right-hand side over the block diagram: evaluate outputs at the
-/// trial state, then collect per-block derivatives.
-struct EngineRhs<'a> {
+/// ODE right-hand side over the continuous cone: re-evaluates the cone's
+/// outputs at the trial `(t, x)`, then collects the stateful blocks'
+/// derivatives. Every other output keeps its value from the last
+/// committed pass — by the idempotent-`outputs` contract and the
+/// `depends_on_time`/`feedthrough` declarations, exactly the value a
+/// fresh evaluation at `(t, x)` would produce.
+struct ConeRhs<'a> {
     entries: &'a mut [Entry],
-    eval_order: &'a [usize],
-    in_off: &'a [usize],
-    out_off: &'a [usize],
-    state_off: &'a [usize],
+    layout: &'a Layout,
     inputs: &'a mut [f64],
     outputs: &'a mut [f64],
-    input_src: &'a [Option<usize>],
 }
 
-impl OdeRhs for EngineRhs<'_> {
+impl OdeRhs for ConeRhs<'_> {
     fn eval(&mut self, t: f64, x: &[f64], dx: &mut [f64]) {
-        eval_outputs(
-            self.entries,
-            self.eval_order,
-            self.in_off,
-            self.out_off,
-            self.state_off,
-            self.inputs,
-            self.outputs,
-            self.input_src,
-            t,
-            x,
-        );
-        for (b, e) in self.entries.iter().enumerate() {
-            let ns = e.block.num_states();
-            if ns == 0 {
-                continue;
-            }
-            let so = self.state_off[b];
-            let spec = e.spec;
-            let ins = &self.inputs[self.in_off[b]..self.in_off[b] + spec.inputs];
-            e.block
-                .derivatives(t, &x[so..so + ns], ins, &mut dx[so..so + ns]);
+        let l = self.layout;
+        for &b in &l.cone {
+            l.eval_block(&mut self.entries[b], b, t, x, self.inputs, self.outputs);
+        }
+        for &b in &l.stateful {
+            l.pull_inputs(b, self.inputs, self.outputs);
+            let s = l.state_off[b]..l.state_off[b + 1];
+            self.entries[b].block.derivatives(
+                t,
+                &x[s.clone()],
+                &self.inputs[l.in_off[b]..l.in_off[b + 1]],
+                &mut dx[s],
+            );
         }
     }
 }
@@ -548,6 +611,47 @@ mod tests {
     use super::*;
     use crate::block::{Block, PortSpec};
     use crate::impl_block_any;
+    use proptest::prelude::*;
+
+    /// The right-hand side `integrate_span` hands the integrator: the
+    /// cone, or the deleted full pass it replaced, kept here as the
+    /// reference the cone is pinned against.
+    pub(super) enum Reference<'a> {
+        Cone(ConeRhs<'a>),
+        FullPass(ConeRhs<'a>),
+    }
+
+    impl<'a> Reference<'a> {
+        pub(super) fn pick(rhs: ConeRhs<'a>, full_pass: bool) -> Self {
+            if full_pass {
+                Reference::FullPass(rhs)
+            } else {
+                Reference::Cone(rhs)
+            }
+        }
+    }
+
+    impl OdeRhs for Reference<'_> {
+        fn eval(&mut self, t: f64, x: &[f64], dx: &mut [f64]) {
+            let rhs = match self {
+                Reference::Cone(rhs) => return rhs.eval(t, x, dx),
+                Reference::FullPass(rhs) => rhs,
+            };
+            // Every block's outputs at the trial state, then every
+            // stateful block's derivatives.
+            eval_all(rhs.entries, rhs.layout, t, x, rhs.inputs, rhs.outputs);
+            for (b, e) in rhs.entries.iter().enumerate() {
+                let ns = e.block.num_states();
+                if ns == 0 {
+                    continue;
+                }
+                let so = rhs.layout.state_off[b];
+                let ins = &rhs.inputs[rhs.layout.in_off[b]..rhs.layout.in_off[b] + e.spec.inputs];
+                e.block
+                    .derivatives(t, &x[so..so + ns], ins, &mut dx[so..so + ns]);
+            }
+        }
+    }
 
     /// Source emitting a constant.
     struct Const(f64);
@@ -557,6 +661,9 @@ mod tests {
         }
         fn ports(&self) -> PortSpec {
             PortSpec::source(1)
+        }
+        fn depends_on_time(&self) -> bool {
+            false
         }
         fn outputs(&mut self, _t: f64, _x: &[f64], _u: &[f64], y: &mut [f64]) {
             y[0] = self.0;
@@ -572,6 +679,9 @@ mod tests {
         }
         fn ports(&self) -> PortSpec {
             PortSpec::siso(1, 1)
+        }
+        fn depends_on_time(&self) -> bool {
+            false
         }
         fn outputs(&mut self, _t: f64, _x: &[f64], u: &[f64], y: &mut [f64]) {
             y[0] = self.0 * u[0];
@@ -591,6 +701,9 @@ mod tests {
             PortSpec::siso(1, 1)
         }
         fn feedthrough(&self, _i: usize) -> bool {
+            false
+        }
+        fn depends_on_time(&self) -> bool {
             false
         }
         fn num_states(&self) -> usize {
@@ -643,12 +756,82 @@ mod tests {
         fn feedthrough(&self, _i: usize) -> bool {
             false
         }
+        fn depends_on_time(&self) -> bool {
+            false
+        }
         fn outputs(&mut self, _t: f64, _x: &[f64], _u: &[f64], y: &mut [f64]) {
             y[0] = self.held;
         }
         fn on_event(&mut self, _p: usize, t: TimeNs, ctx: &mut EventCtx<'_>) {
             self.held = ctx.inputs[0];
             self.samples.push((t, self.held));
+        }
+        impl_block_any!();
+    }
+
+    /// y = sin(w·t): reads `t`, so it keeps the default `depends_on_time`.
+    struct SineT(f64);
+    impl Block for SineT {
+        fn type_name(&self) -> &'static str {
+            "SineT"
+        }
+        fn ports(&self) -> PortSpec {
+            PortSpec::source(1)
+        }
+        fn outputs(&mut self, t: f64, _x: &[f64], _u: &[f64], y: &mut [f64]) {
+            y[0] = (self.0 * t).sin();
+        }
+        impl_block_any!();
+    }
+
+    /// y = u0 + k·u1, direct feedthrough on both inputs.
+    struct Sum2(f64);
+    impl Block for Sum2 {
+        fn type_name(&self) -> &'static str {
+            "Sum2"
+        }
+        fn ports(&self) -> PortSpec {
+            PortSpec::siso(2, 1)
+        }
+        fn depends_on_time(&self) -> bool {
+            false
+        }
+        fn outputs(&mut self, _t: f64, _x: &[f64], u: &[f64], y: &mut [f64]) {
+            y[0] = u[0] + self.0 * u[1];
+        }
+        impl_block_any!();
+    }
+
+    /// ẋ = a·x + u, y = x + d·u: a plant with direct feedthrough iff
+    /// `d != 0`.
+    struct Lti {
+        a: f64,
+        d: f64,
+    }
+    impl Block for Lti {
+        fn type_name(&self) -> &'static str {
+            "Lti"
+        }
+        fn ports(&self) -> PortSpec {
+            PortSpec::siso(1, 1)
+        }
+        fn feedthrough(&self, _i: usize) -> bool {
+            self.d != 0.0
+        }
+        fn depends_on_time(&self) -> bool {
+            false
+        }
+        fn num_states(&self) -> usize {
+            1
+        }
+        fn init_states(&self, x: &mut [f64]) {
+            x[0] = 0.5;
+        }
+        fn derivatives(&self, _t: f64, x: &[f64], u: &[f64], dx: &mut [f64]) {
+            dx[0] = self.a * x[0] + u[0];
+        }
+        fn outputs(&mut self, _t: f64, x: &[f64], u: &[f64], y: &mut [f64]) {
+            y[0] = x[0] + self.d * u[0];
         }
         impl_block_any!();
     }
@@ -1085,14 +1268,16 @@ mod tests {
         assert_eq!(sim.stats().integration_spans, 1_000_000);
     }
 
-    /// The event hot path must not allocate in steady state: route walks,
-    /// input staging and the emission queue all reuse engine-owned
-    /// buffers, so the regression counter stays at zero across a run
-    /// with thousands of deliveries.
+    /// The hot paths must not allocate in steady state: route walks,
+    /// input staging, the emission queue and the integrator's stage
+    /// buffers all reuse engine-owned buffers, so the regression counter
+    /// stays at zero across a run with thousands of deliveries and
+    /// integration spans.
     #[test]
     fn hot_path_is_allocation_free() {
         let (mut m, clk) = clocked(1);
-        let c = m.add_block("c", Const(3.0));
+        let src = m.add_block("src", SineT(7.0));
+        let p = m.add_block("p", Lti { a: -3.0, d: 0.5 });
         let s = m.add_block(
             "s",
             Sampler {
@@ -1100,15 +1285,17 @@ mod tests {
                 samples: vec![],
             },
         );
-        m.connect(c, 0, s, 0).unwrap();
+        m.connect(src, 0, p, 0).unwrap();
+        m.connect(p, 0, s, 0).unwrap();
         m.connect_event(clk, 0, s, 0).unwrap();
         let mut sim = Simulator::new(m, SimOptions::default()).unwrap();
         sim.run(TimeNs::from_secs(2)).unwrap();
         assert!(sim.stats().events_delivered > 4000);
+        assert!(sim.stats().integration_spans >= 2000);
         assert_eq!(
             sim.stats().hot_allocs,
             0,
-            "event hot path allocated {} times",
+            "hot path allocated {} times",
             sim.stats().hot_allocs
         );
     }
@@ -1127,5 +1314,210 @@ mod tests {
         let r = sim.run(TimeNs::from_secs(1)).unwrap();
         let x_end = r.signal("x").unwrap().last().unwrap().1;
         assert!((x_end - 1.5).abs() < 1e-6, "{x_end}");
+    }
+
+    /// A block reading `t` without overriding `depends_on_time` stays in
+    /// the cone: ∫₀¹ t dt = 1/2.
+    #[test]
+    fn time_reading_block_without_override_integrates() {
+        struct TimeOut;
+        impl Block for TimeOut {
+            fn type_name(&self) -> &'static str {
+                "TimeOut"
+            }
+            fn ports(&self) -> PortSpec {
+                PortSpec::source(1)
+            }
+            fn outputs(&mut self, t: f64, _x: &[f64], _u: &[f64], y: &mut [f64]) {
+                y[0] = t;
+            }
+            impl_block_any!();
+        }
+        let mut m = Model::new();
+        let t = m.add_block("t", TimeOut);
+        let i = m.add_block("i", Integ { x0: 0.0 });
+        m.connect(t, 0, i, 0).unwrap();
+        m.probe("x", i, 0).unwrap();
+        let mut sim = Simulator::new(m, SimOptions::default()).unwrap();
+        assert_eq!(sim.layout.cone, vec![t.index()]);
+        let r = sim.run(TimeNs::from_secs(1)).unwrap();
+        let x_end = r.signal("x").unwrap().last().unwrap().1;
+        assert!((x_end - 0.5).abs() < 1e-9, "{x_end}");
+    }
+
+    /// The cone holds the time-dependent and stateful blocks the
+    /// derivative pass reads, plus their feedthrough descendants; a
+    /// constant, a sampler and a probed-only gain stay frozen.
+    #[test]
+    fn cone_skips_blocks_that_cannot_move_or_are_not_read() {
+        let (mut m, clk) = clocked(5);
+        let c = m.add_block("c", Const(1.0));
+        let src = m.add_block("src", SineT(3.0));
+        let sum = m.add_block("sum", Sum2(0.5));
+        let plant = m.add_block("plant", Lti { a: -1.0, d: 2.0 });
+        let g = m.add_block("g", Gain(2.0));
+        let i = m.add_block("i", Integ { x0: 0.0 });
+        let s = m.add_block(
+            "s",
+            Sampler {
+                held: 0.0,
+                samples: vec![],
+            },
+        );
+        let probe_only = m.add_block("probe_only", Gain(3.0));
+        m.connect(src, 0, sum, 0).unwrap();
+        m.connect(c, 0, sum, 1).unwrap();
+        m.connect(sum, 0, plant, 0).unwrap();
+        m.connect(plant, 0, g, 0).unwrap();
+        m.connect(g, 0, s, 0).unwrap();
+        m.connect(s, 0, i, 0).unwrap();
+        m.connect(plant, 0, probe_only, 0).unwrap();
+        m.connect_event(clk, 0, s, 0).unwrap();
+        let sim = Simulator::new(m, SimOptions::default()).unwrap();
+        assert_eq!(sim.layout.cone, vec![src.index(), sum.index()]);
+        assert_eq!(sim.layout.stateful, vec![plant.index(), i.index()]);
+    }
+
+    /// The parts of a run the cone must leave untouched, with every
+    /// sample as raw bits.
+    type RunBits = (
+        Vec<(String, Vec<u64>, Vec<u64>)>,
+        Vec<EventRecord>,
+        EngineStats,
+    );
+
+    fn run_bits(sim: &mut Simulator, until: TimeNs) -> Result<RunBits, String> {
+        sim.run(until / 2).map_err(|e| e.to_string())?;
+        let r = sim.run(until).map_err(|e| e.to_string())?;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        let signals = r
+            .signals()
+            .map(|(n, s)| (n.to_string(), bits(s.times()), bits(s.values())))
+            .collect();
+        Ok((signals, r.event_log().to_vec(), sim.stats().clone()))
+    }
+
+    /// One random diagram: a skeleton covering every cone case, then a
+    /// random tail of `(kind, parameter, wiring seed, wiring seed)`.
+    #[derive(Debug, Clone)]
+    struct Diagram {
+        period_ms: i64,
+        w: f64,
+        k: f64,
+        a: f64,
+        d: f64,
+        rk4: bool,
+        tail: Vec<(usize, f64, usize, usize)>,
+    }
+
+    fn build(dg: &Diagram) -> Model {
+        let (mut m, clk) = clocked(dg.period_ms);
+        let sampler = || Sampler {
+            held: 0.25,
+            samples: vec![],
+        };
+        // A time source straight into an integrator.
+        let src = m.add_block("src", SineT(dg.w));
+        let i1 = m.add_block("i1", Integ { x0: 0.0 });
+        m.connect(src, 0, i1, 0).unwrap();
+        // stateful -> gain -> sum -> plant with direct feedthrough.
+        let g = m.add_block("g", Gain(dg.k));
+        let c = m.add_block("c", Const(1.5));
+        let sum = m.add_block("sum", Sum2(dg.k));
+        let plant = m.add_block("plant", Lti { a: dg.a, d: dg.d });
+        m.connect(i1, 0, g, 0).unwrap();
+        m.connect(g, 0, sum, 0).unwrap();
+        m.connect(c, 0, sum, 1).unwrap();
+        m.connect(sum, 0, plant, 0).unwrap();
+        // A clocked sample-and-hold and a constant driving a plant.
+        let sh = m.add_block("sh", sampler());
+        let sum2 = m.add_block("sum2", Sum2(1.0));
+        let i2 = m.add_block("i2", Integ { x0: 0.0 });
+        m.connect(plant, 0, sh, 0).unwrap();
+        m.connect_event(clk, 0, sh, 0).unwrap();
+        m.connect(sh, 0, sum2, 0).unwrap();
+        m.connect(c, 0, sum2, 1).unwrap();
+        m.connect(sum2, 0, i2, 0).unwrap();
+        let mut outs = vec![src, i1, g, c, sum, plant, sh, sum2, i2];
+        // The tail: feedthrough inputs pick an earlier block, the others
+        // any block (closing loops through state and samplers).
+        let mut wires = Vec::new();
+        for (n, &(kind, p, s0, s1)) in dg.tail.iter().enumerate() {
+            let name = format!("t{n}");
+            let b = match kind {
+                0 => m.add_block(name, Const(p)),
+                1 => m.add_block(name, SineT(p)),
+                2 => m.add_block(name, Gain(p)),
+                3 => m.add_block(name, Sum2(p)),
+                4 => m.add_block(name, Integ { x0: p }),
+                5 => m.add_block(
+                    name,
+                    Lti {
+                        a: -1.0 - p.abs(),
+                        d: p,
+                    },
+                ),
+                _ => {
+                    let b = m.add_block(name, sampler());
+                    m.connect_event(clk, 0, b, 0).unwrap();
+                    b
+                }
+            };
+            let (ins, ft) = match kind {
+                0 | 1 => (0, false),
+                3 => (2, true),
+                2 => (1, true),
+                5 => (1, p != 0.0),
+                _ => (1, false),
+            };
+            for (port, seed) in [s0, s1].into_iter().enumerate().take(ins) {
+                wires.push((b, port, seed, ft.then_some(outs.len())));
+            }
+            outs.push(b);
+        }
+        for (b, port, seed, before) in wires {
+            let src = outs[seed % before.unwrap_or(outs.len())];
+            m.connect(src, 0, b, port).unwrap();
+        }
+        for (n, &b) in outs.iter().enumerate() {
+            m.probe(format!("y{n}"), b, 0).unwrap();
+        }
+        m
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The cone right-hand side reproduces the full pass bit for bit:
+        /// every probe sample, every event record, every counter.
+        #[test]
+        fn cone_matches_full_pass(
+            period_ms in 1i64..6,
+            w in 1.0f64..400.0,
+            k in -2.0f64..2.0,
+            a in -50.0f64..-0.5,
+            d in 0.1f64..2.0,
+            rk4 in 0usize..4,
+            tail in proptest::collection::vec(
+                (0usize..7, -2.0f64..2.0, 0usize..1000, 0usize..1000),
+                0..7,
+            ),
+        ) {
+            let dg = Diagram { period_ms, w, k, a, d, rk4: rk4 == 0, tail };
+            let opts = SimOptions {
+                integrator: if dg.rk4 {
+                    Integrator::Rk4 { h: 3e-4 }
+                } else {
+                    Integrator::default()
+                },
+                ..SimOptions::default()
+            };
+            let until = TimeNs::from_millis(30);
+            let mut cone = Simulator::new(build(&dg), opts).unwrap();
+            let mut full = Simulator::new(build(&dg), opts).unwrap();
+            full.full_pass = true;
+            prop_assert!(!cone.layout.cone.is_empty());
+            prop_assert_eq!(run_bits(&mut cone, until), run_bits(&mut full, until));
+        }
     }
 }

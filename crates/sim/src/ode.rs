@@ -58,34 +58,70 @@ impl Default for Integrator {
     }
 }
 
+/// Stage buffers reused across integration spans: the seven
+/// Dormand–Prince stages and the trial, 5th- and 4th-order states (RK4
+/// uses the first four stages and the trial state).
+///
+/// The engine owns one, sized for its joint state in
+/// [`Simulator::new`](crate::Simulator::new), so integrating a span
+/// allocates nothing; [`integrate`] builds a local one per call.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Workspace {
+    k: [Vec<f64>; 7],
+    xs: Vec<f64>,
+    x5: Vec<f64>,
+    x4: Vec<f64>,
+}
+
+impl Workspace {
+    /// A workspace sized for an `n`-dimensional state.
+    pub(crate) fn new(n: usize) -> Self {
+        let mut ws = Workspace::default();
+        ws.fit(n);
+        ws
+    }
+
+    /// Resizes every buffer to `n`, returning how many of them had to
+    /// grow their heap allocation (0 once sized).
+    pub(crate) fn fit(&mut self, n: usize) -> u64 {
+        let mut grown = 0;
+        for buf in self
+            .k
+            .iter_mut()
+            .chain([&mut self.xs, &mut self.x5, &mut self.x4])
+        {
+            grown += u64::from(buf.capacity() < n);
+            buf.resize(n, 0.0);
+        }
+        grown
+    }
+}
+
 /// One classic RK4 step of size `h` from `(t, x)`, writing the result back
 /// into `x`.
-///
-/// # Panics
-///
-/// Panics if `x` and the work buffers disagree in length (cannot happen via
-/// the public [`integrate`] entry point).
 pub fn rk4_step<F: OdeRhs>(f: &mut F, t: f64, x: &mut [f64], h: f64) {
-    let n = x.len();
-    let mut k1 = vec![0.0; n];
-    let mut k2 = vec![0.0; n];
-    let mut k3 = vec![0.0; n];
-    let mut k4 = vec![0.0; n];
-    let mut tmp = vec![0.0; n];
+    rk4_step_in(f, t, x, h, &mut Workspace::new(x.len()));
+}
 
-    f.eval(t, x, &mut k1);
+/// [`rk4_step`] over caller-owned stage buffers (`ws` sized for `x`).
+fn rk4_step_in<F: OdeRhs>(f: &mut F, t: f64, x: &mut [f64], h: f64, ws: &mut Workspace) {
+    let n = x.len();
+    let [k1, k2, k3, k4, ..] = &mut ws.k;
+    let tmp = &mut ws.xs;
+
+    f.eval(t, x, k1);
     for i in 0..n {
         tmp[i] = x[i] + 0.5 * h * k1[i];
     }
-    f.eval(t + 0.5 * h, &tmp, &mut k2);
+    f.eval(t + 0.5 * h, tmp, k2);
     for i in 0..n {
         tmp[i] = x[i] + 0.5 * h * k2[i];
     }
-    f.eval(t + 0.5 * h, &tmp, &mut k3);
+    f.eval(t + 0.5 * h, tmp, k3);
     for i in 0..n {
         tmp[i] = x[i] + h * k3[i];
     }
-    f.eval(t + h, &tmp, &mut k4);
+    f.eval(t + h, tmp, k4);
     for i in 0..n {
         x[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
     }
@@ -182,6 +218,18 @@ pub fn integrate<F: OdeRhs>(
     x: &mut [f64],
     method: Integrator,
 ) -> Result<OdeStepStats, SimError> {
+    integrate_in(f, t0, t1, x, method, &mut Workspace::new(x.len()))
+}
+
+/// [`integrate`] over caller-owned stage buffers (`ws` sized for `x`).
+pub(crate) fn integrate_in<F: OdeRhs>(
+    f: &mut F,
+    t0: f64,
+    t1: f64,
+    x: &mut [f64],
+    method: Integrator,
+    ws: &mut Workspace,
+) -> Result<OdeStepStats, SimError> {
     if t1 < t0 {
         return Err(SimError::IntegrationFailure {
             time: t0,
@@ -203,7 +251,7 @@ pub fn integrate<F: OdeRhs>(
             let mut t = t0;
             while t < t1 {
                 let step = h.min(t1 - t);
-                rk4_step(f, t, x, step);
+                rk4_step_in(f, t, x, step, ws);
                 stats.steps_accepted += 1;
                 stats.rhs_evals += 4;
                 if x.iter().any(|v| !v.is_finite()) {
@@ -216,10 +264,13 @@ pub fn integrate<F: OdeRhs>(
             }
             Ok(stats)
         }
-        Integrator::Rk45 { rtol, atol, h_max } => integrate_rk45(f, t0, t1, x, rtol, atol, h_max),
+        Integrator::Rk45 { rtol, atol, h_max } => {
+            integrate_rk45(f, t0, t1, x, rtol, atol, h_max, ws)
+        }
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn integrate_rk45<F: OdeRhs>(
     f: &mut F,
     t0: f64,
@@ -228,16 +279,14 @@ fn integrate_rk45<F: OdeRhs>(
     rtol: f64,
     atol: f64,
     h_max: f64,
+    ws: &mut Workspace,
 ) -> Result<OdeStepStats, SimError> {
     let n = x.len();
     let span = t1 - t0;
     let h_min = span * MIN_STEP_FRACTION;
     let mut t = t0;
     let mut h = (span / 10.0).min(h_max).max(h_min);
-    let mut k = vec![vec![0.0; n]; 7];
-    let mut xs = vec![0.0; n];
-    let mut x5 = vec![0.0; n];
-    let mut x4 = vec![0.0; n];
+    let Workspace { k, xs, x5, x4 } = ws;
     let mut stats = OdeStepStats::default();
 
     while t < t1 {
@@ -251,9 +300,7 @@ fn integrate_rk45<F: OdeRhs>(
                 }
                 xs[i] = acc;
             }
-            let (head, tail) = k.split_at_mut(s);
-            let _ = head;
-            f.eval(t + DP_C[s] * h, &xs, &mut tail[0]);
+            f.eval(t + DP_C[s] * h, xs, &mut k[s]);
         }
         stats.rhs_evals += 7;
         // 5th and embedded 4th order solutions.
@@ -282,7 +329,7 @@ fn integrate_rk45<F: OdeRhs>(
         if err <= 1.0 {
             // Accept.
             t += h;
-            x.copy_from_slice(&x5);
+            x.copy_from_slice(x5);
             stats.steps_accepted += 1;
             if x.iter().any(|v| !v.is_finite()) {
                 return Err(SimError::IntegrationFailure {
@@ -458,5 +505,36 @@ mod tests {
         let s45 = integrate(&mut decay, 0.0, 1.0, &mut y, Integrator::default()).unwrap();
         assert!(s45.steps_accepted > 0);
         assert_eq!(s45.rhs_evals, 7 * (s45.steps_accepted + s45.steps_rejected));
+    }
+
+    #[test]
+    fn workspace_counts_growth_only() {
+        let mut ws = Workspace::new(3);
+        assert_eq!(ws.fit(3), 0);
+        assert_eq!(ws.fit(1), 0);
+        assert_eq!(ws.fit(3), 0);
+        // Seven stages plus the trial, 5th- and 4th-order states.
+        assert_eq!(ws.fit(64), 10);
+    }
+
+    #[test]
+    fn reused_workspace_matches_fresh_integration() {
+        // The engine reuses one workspace across spans; stale stage values
+        // from an earlier span must not leak into the next one.
+        let mut f = |t: f64, x: &[f64], dx: &mut [f64]| {
+            dx[0] = x[1];
+            dx[1] = -x[0] + t.sin();
+        };
+        for method in [Integrator::default(), Integrator::Rk4 { h: 1e-3 }] {
+            let mut ws = Workspace::new(2);
+            let (mut reused, mut fresh) = (vec![1.0, 0.0], vec![1.0, 0.0]);
+            for k in 0..5 {
+                let (a, b) = (k as f64 * 0.1, (k + 1) as f64 * 0.1);
+                let s1 = integrate_in(&mut f, a, b, &mut reused, method, &mut ws).unwrap();
+                let s2 = integrate(&mut f, a, b, &mut fresh, method).unwrap();
+                assert_eq!(s1, s2);
+                assert_eq!(reused, fresh);
+            }
+        }
     }
 }

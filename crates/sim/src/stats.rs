@@ -52,12 +52,12 @@ pub struct EngineStats {
     pub max_cascade: usize,
     /// Continuous spans handed to the ODE integrator.
     pub integration_spans: u64,
-    /// Heap allocations observed on the event hot path — growths of the
+    /// Heap allocations observed on the hot paths — growths of the
     /// engine's reusable scratch buffers (the per-delivery emission
-    /// queue). The kernel pre-sizes those buffers, so this stays 0 in
-    /// steady state; a nonzero delta between identical runs is an
-    /// allocation regression and is asserted against in tests and the
-    /// E16 gate.
+    /// queue and the integrator's stage buffers). The kernel pre-sizes
+    /// those buffers, so this stays 0 in steady state; a nonzero delta
+    /// between identical runs is an allocation regression and is
+    /// asserted against in tests and the E16 gate.
     pub hot_allocs: u64,
     /// Accumulated integrator counters.
     pub ode: OdeStepStats,

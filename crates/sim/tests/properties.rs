@@ -1,8 +1,197 @@
 //! Property-based tests of the simulation kernel.
 
+use std::any::Any;
+
+use ecl_blocks::{
+    add_clock, Constant, DeadZone, Gain, Integrator as Integ, Ramp, SampleHold, Saturation, Sine,
+    StateSpaceCt, Step, Sum, UnitDelay,
+};
 use ecl_sim::ode::{integrate, Integrator};
-use ecl_sim::{BlockId, EventCalendar, TimeNs};
+use ecl_sim::{
+    Block, BlockId, EventActions, EventCalendar, EventCtx, Model, PortSpec, SimOptions, Simulator,
+    TimeNs,
+};
 use proptest::prelude::*;
+
+/// Delegates everything to the wrapped block except `depends_on_time`,
+/// which keeps its conservative default: a diagram of these re-evaluates
+/// every block the derivative pass reads on every right-hand-side call.
+struct Moving(Box<dyn Block>);
+
+impl Block for Moving {
+    fn type_name(&self) -> &'static str {
+        self.0.type_name()
+    }
+    fn ports(&self) -> PortSpec {
+        self.0.ports()
+    }
+    fn feedthrough(&self, input: usize) -> bool {
+        self.0.feedthrough(input)
+    }
+    fn num_states(&self) -> usize {
+        self.0.num_states()
+    }
+    fn init_states(&self, x: &mut [f64]) {
+        self.0.init_states(x)
+    }
+    fn derivatives(&self, t: f64, x: &[f64], inputs: &[f64], dx: &mut [f64]) {
+        self.0.derivatives(t, x, inputs, dx)
+    }
+    fn outputs(&mut self, t: f64, x: &[f64], inputs: &[f64], outputs: &mut [f64]) {
+        self.0.outputs(t, x, inputs, outputs)
+    }
+    fn on_start(&mut self, actions: &mut EventActions) {
+        self.0.on_start(actions)
+    }
+    fn on_event(&mut self, port: usize, t: TimeNs, ctx: &mut EventCtx<'_>) {
+        self.0.on_event(port, t, ctx)
+    }
+    fn as_any(&self) -> &dyn Any {
+        self.0.as_any()
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self.0.as_any_mut()
+    }
+}
+
+/// A one-state plant `ẋ = a·x + u`, `y = x + d·u`.
+fn plant(a: f64, d: f64) -> StateSpaceCt {
+    StateSpaceCt::new(1, 1, 1, vec![a], vec![1.0], vec![1.0], vec![d], vec![0.5]).expect("valid")
+}
+
+/// Builds a model whose blocks are all wrapped in [`Moving`], or none.
+struct Builder {
+    m: Model,
+    moving: bool,
+}
+
+impl Builder {
+    fn add(&mut self, block: impl Block) -> BlockId {
+        let name = format!("b{}", self.m.len());
+        if self.moving {
+            self.m.add_block(name, Moving(Box::new(block)))
+        } else {
+            self.m.add_block(name, block)
+        }
+    }
+
+    fn wire(&mut self, src: BlockId, dst: BlockId, port: usize) {
+        self.m.connect(src, 0, dst, port).expect("valid wire");
+    }
+}
+
+/// Parameters of one random `ecl-blocks` diagram: a skeleton covering
+/// every case of the continuous cone, then a random tail of `(kind,
+/// parameter, wiring seed, wiring seed)`.
+#[derive(Debug, Clone)]
+struct Diagram {
+    period_us: i64,
+    source: usize,
+    k: f64,
+    a: f64,
+    d: f64,
+    tail: Vec<(usize, f64, usize, usize)>,
+}
+
+fn build(dg: &Diagram, moving: bool) -> Model {
+    let mut m = Model::new();
+    let clk = add_clock(
+        &mut m,
+        "clk",
+        TimeNs::from_micros(dg.period_us),
+        TimeNs::ZERO,
+    )
+    .expect("valid clock");
+    let mut b = Builder { m, moving };
+    let clocked = |b: &mut Builder, block: BlockId| {
+        b.m.connect_event(clk, 0, block, 0)
+            .expect("valid event wire");
+    };
+    // A Sine, Step or Ramp straight into an integrator.
+    let src = match dg.source {
+        0 => b.add(Sine::new(1.5, 40.0).with_phase(dg.k)),
+        1 => b.add(Step::new(0.011, dg.k, 1.0)),
+        _ => b.add(Ramp::new(0.004, dg.k)),
+    };
+    let i1 = b.add(Integ::new(0.0));
+    b.wire(src, i1, 0);
+    // stateful -> Gain -> Sum -> StateSpaceCt with nonzero D.
+    let g = b.add(Gain::new(dg.k));
+    let c = b.add(Constant::new(1.5));
+    let sum = b.add(Sum::new(vec![1.0, dg.k]).expect("valid sum"));
+    let p1 = b.add(plant(dg.a, dg.d));
+    b.wire(i1, g, 0);
+    b.wire(g, sum, 0);
+    b.wire(c, sum, 1);
+    b.wire(sum, p1, 0);
+    // A clocked SampleHold and a Constant driving a plant.
+    let sh = b.add(SampleHold::new(0.25));
+    clocked(&mut b, sh);
+    let sum2 = b.add(Sum::new(vec![1.0, -1.0]).expect("valid sum"));
+    let p2 = b.add(plant(dg.a, 0.0));
+    b.wire(p1, sh, 0);
+    b.wire(sh, sum2, 0);
+    b.wire(c, sum2, 1);
+    b.wire(sum2, p2, 0);
+    let mut outs = vec![src, i1, g, c, sum, p1, sh, sum2, p2];
+    // The tail: feedthrough inputs pick an earlier block, the others any
+    // block (closing loops through state and holds).
+    let mut wires = Vec::new();
+    for &(kind, p, s0, s1) in &dg.tail {
+        let (id, ins, ft) = match kind {
+            0 => (b.add(Constant::new(p)), 0, false),
+            1 => (b.add(Sine::new(p, 25.0)), 0, false),
+            2 => (b.add(Gain::new(p)), 1, true),
+            3 => (b.add(Sum::new(vec![p, 1.0]).expect("valid sum")), 2, true),
+            4 => (b.add(Saturation::new(-1.0, 1.0).expect("valid")), 1, true),
+            5 => (b.add(DeadZone::new(p.abs()).expect("valid")), 1, true),
+            6 => (b.add(Integ::new(p)), 1, false),
+            7 => (b.add(plant(-1.0 - p.abs(), p)), 1, p != 0.0),
+            8 => {
+                let id = b.add(UnitDelay::new(p));
+                clocked(&mut b, id);
+                (id, 1, false)
+            }
+            _ => {
+                let id = b.add(SampleHold::new(p));
+                clocked(&mut b, id);
+                (id, 1, false)
+            }
+        };
+        for (port, seed) in [s0, s1].into_iter().enumerate().take(ins) {
+            wires.push((id, port, seed, ft.then_some(outs.len())));
+        }
+        outs.push(id);
+    }
+    for (id, port, seed, before) in wires {
+        let src = outs[seed % before.unwrap_or(outs.len())];
+        b.wire(src, id, port);
+    }
+    for (n, &id) in outs.iter().enumerate() {
+        b.m.probe(format!("y{n}"), id, 0).expect("valid probe");
+    }
+    b.m
+}
+
+/// Probe samples as raw bits, event records and every engine counter.
+type RunBits = (
+    Vec<(String, Vec<u64>, Vec<u64>)>,
+    Vec<ecl_sim::EventRecord>,
+    ecl_sim::EngineStats,
+);
+
+fn run_bits(model: Model, opts: SimOptions, until: TimeNs) -> Result<RunBits, String> {
+    let mut sim = Simulator::new(model, opts).map_err(|e| e.to_string())?;
+    sim.run(until / 2).map_err(|e| e.to_string())?;
+    sim.run(until).map_err(|e| e.to_string())?;
+    let r = sim.result();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+    let signals = r
+        .signals()
+        .map(|(n, s)| (n.to_string(), bits(s.times()), bits(s.values())))
+        .collect();
+    Ok((signals, r.event_log().to_vec(), sim.stats().clone()))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -92,5 +281,37 @@ proptest! {
         prop_assert!((a[0] - b[0]).abs() < 1e-5, "{} vs {}", a[0], b[0]);
         // Both match the analytic cos(w t).
         prop_assert!((a[0] - (2.0 * omega).cos()).abs() < 1e-4);
+    }
+
+    /// `ecl-blocks`' `depends_on_time` overrides are sound: freezing the
+    /// blocks that declare no time dependence reproduces, bit for bit, the
+    /// same diagram with every block kept moving — every probe sample,
+    /// every event record, every counter.
+    #[test]
+    fn block_library_cone_matches_all_moving(
+        period_us in 700i64..4000,
+        source in 0usize..3,
+        k in -2.0f64..2.0,
+        a in -60.0f64..-0.5,
+        d in 0.1f64..2.0,
+        rk4 in 0usize..4,
+        tail in proptest::collection::vec(
+            (0usize..10, -2.0f64..2.0, 0usize..1000, 0usize..1000),
+            0..8,
+        ),
+    ) {
+        let dg = Diagram { period_us, source, k, a, d, tail };
+        let opts = SimOptions {
+            integrator: if rk4 == 0 {
+                Integrator::Rk4 { h: 3e-4 }
+            } else {
+                Integrator::default()
+            },
+            ..SimOptions::default()
+        };
+        let until = TimeNs::from_millis(30);
+        let frozen = run_bits(build(&dg, false), opts, until);
+        prop_assert!(frozen.is_ok(), "{frozen:?}");
+        prop_assert_eq!(frozen, run_bits(build(&dg, true), opts, until));
     }
 }

@@ -23,10 +23,12 @@ cargo test --workspace -q --offline
 # payloads and exits non-zero on any disagreement. sweep_memo drives
 # run_sweep's variant-reuse path against unmemoized, unpruned
 # run_scenario reference rows; sweep_faults drives the faulty
-# scheduled-run memo; serve_open restarts the daemon on a warm disk
-# store (the memo tables' seed/snapshot path) and byte-compares every
-# payload with an in-process Engine.
-for workload in sweep_memo sweep_faults serve_open; do
+# scheduled-run memo; sweep_cold misses the co-simulation memo on every
+# row (2^20 WCET tables) and runs static verification, so it drives the
+# sim kernel's integrator hardest; serve_open restarts the daemon on a
+# warm disk store (the memo tables' seed/snapshot path) and
+# byte-compares every payload with an in-process Engine.
+for workload in sweep_memo sweep_faults sweep_cold serve_open; do
     echo "== perfbench $workload smoke =="
     cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 1 --trace 0 >/dev/null
