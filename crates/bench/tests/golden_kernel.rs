@@ -5,7 +5,9 @@
 //! not change a single artifact byte. These tests pin the exp10-style
 //! lifecycle case and the exp12-style fault sweep against golden files
 //! blessed with the *seed* kernel; any behavioural drift in the engine
-//! shows up as a byte diff here.
+//! shows up as a byte diff here. A third case pins every co-simulation
+//! entry point (state and output feedback, ideal and scheduled, faulty,
+//! conditioned, traced) and the lifecycle's telemetry stream.
 //!
 //! To re-bless after an intentional change:
 //!
@@ -16,14 +18,22 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use ecl_aaa::{AdequationOptions, ArchitectureGraph, TimeNs};
+use ecl_aaa::{
+    adequation, AdequationOptions, AlgorithmGraph, ArchitectureGraph, Fnv1a, OpId, Schedule,
+    TimeNs, TimingDb,
+};
 use ecl_bench::fleet::{run_sweep, FaultAxes, SweepConfig};
-use ecl_bench::{dc_motor_loop, split_scenario};
-use ecl_control::plants;
-use ecl_core::cosim::{DisturbanceKind, LoopResult};
+use ecl_bench::{dc_motor_loop, split_scenario, SplitScenario};
+use ecl_blocks::Sine;
+use ecl_control::{c2d_zoh, dlqr, kalman, lqg, plants};
+use ecl_core::cosim::{self, DisturbanceKind, LoopResult, LoopSpec, OutputLoopSpec};
+use ecl_core::delays::{ConditionSource, DelayGraphConfig};
+use ecl_core::faults::{FaultConfig, FaultPlan};
 use ecl_core::lifecycle::{self, LifecycleInputs};
-use ecl_core::translate::{uniform_timing, ControlLawSpec};
+use ecl_core::translate::{uniform_timing, ControlLawSpec, IoMap};
 use ecl_linalg::Mat;
+use ecl_sim::Model;
+use ecl_telemetry::{Collector, Event, RecordingSink};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -200,4 +210,328 @@ fn fault_sweep_bytes_match_seed_kernel() {
     let _ = writeln!(s, "{:?}", out.actuation_hist);
 
     check_golden("fleet_fault_sweep.txt", &s);
+}
+
+/// FNV-1a over the bit patterns of every probe sample and the event log,
+/// one line per signal: the trace content the metric bytes leave out.
+fn probe_lines(r: &LoopResult) -> String {
+    let mut s = String::new();
+    for (name, sig) in r.result.signals() {
+        let mut h = Fnv1a::new();
+        for (&t, &v) in sig.times().iter().zip(sig.values()) {
+            h.write_f64(t);
+            h.write_f64(v);
+        }
+        let _ = writeln!(
+            s,
+            "  probe {name}: {} samples, bits {:016x}",
+            sig.len(),
+            h.finish()
+        );
+    }
+    let mut h = Fnv1a::new();
+    for ev in r.result.event_log() {
+        h.write_str(&ev.to_string());
+    }
+    let _ = writeln!(
+        s,
+        "  event log: {} records, end {}, digest {:016x}",
+        r.result.event_log().len(),
+        r.result.end_time(),
+        h.finish()
+    );
+    s
+}
+
+/// One entry point's result: the metric-grade bytes in hex, then the
+/// probe bits.
+fn run_lines(tag: &str, r: &LoopResult) -> String {
+    let mut s = format!("== {tag} ==\n  metric bytes:");
+    for (i, b) in r.to_metric_bytes().iter().enumerate() {
+        if i % 32 == 0 {
+            s.push_str("\n    ");
+        }
+        let _ = write!(s, "{b:02x}");
+    }
+    s.push('\n');
+    s.push_str(&probe_lines(r));
+    s
+}
+
+/// A recorded telemetry stream with the wall-clock stamps of spans
+/// dropped: span names and nesting order, slices and counters stay.
+fn stream_lines(tag: &str, sink: &RecordingSink) -> String {
+    let mut s = format!("== {tag} stream: {} events ==\n", sink.events().len());
+    for ev in sink.events() {
+        match ev {
+            Event::SpanBegin { name, .. } => {
+                let _ = writeln!(s, "span-begin {name}");
+            }
+            Event::SpanEnd { name, .. } => {
+                let _ = writeln!(s, "span-end {name}");
+            }
+            Event::Slice {
+                track,
+                name,
+                start_ns,
+                end_ns,
+            } => {
+                let _ = writeln!(s, "slice {track} {name} [{start_ns}, {end_ns}]");
+            }
+            Event::Instant { track, name, at_ns } => {
+                let _ = writeln!(s, "instant {track} {name} @{at_ns}");
+            }
+            Event::Counter {
+                track,
+                name,
+                at_ns,
+                value_ns,
+            } => {
+                let _ = writeln!(s, "counter {track} {name} @{at_ns} = {value_ns}");
+            }
+        }
+    }
+    s
+}
+
+/// The DC-motor loop over the two-ECU split: sensors and actuator on the
+/// I/O ECU, the law on the control ECU, a 2 ms bus between them.
+fn dc_motor_split(horizon: f64) -> (LoopSpec, SplitScenario, Schedule) {
+    let spec = dc_motor_loop(horizon).expect("loop spec");
+    let base = split_scenario(
+        2,
+        1,
+        TimeNs::from_millis(2),
+        TimeNs::from_micros(200),
+        TimeNs::from_millis(5),
+    )
+    .expect("scenario");
+    let schedule = adequation(
+        &base.alg,
+        &base.arch,
+        &base.db,
+        AdequationOptions::default(),
+    )
+    .expect("adequation");
+    (spec, base, schedule)
+}
+
+/// A non-trivial fault plan over the split: frame loss with one retry,
+/// link outages and a small processor-dropout rate.
+fn split_fault_plan(spec: &LoopSpec, base: &SplitScenario, schedule: &Schedule) -> FaultPlan {
+    let periods = (spec.horizon / spec.ts).floor() as u32;
+    let plan = FaultPlan::generate(
+        &FaultConfig {
+            seed: 11,
+            frame_loss_rate: 0.3,
+            max_retries: 1,
+            link_outage_rate: 0.1,
+            outage_periods: 2,
+            ..FaultConfig::default()
+        },
+        schedule,
+        &base.arch,
+        periods,
+    )
+    .expect("fault plan");
+    assert!(!plan.is_trivial(), "the fixture plan must inject faults");
+    plan
+}
+
+/// LQG output feedback on the DC motor: only the speed is measured.
+fn lqg_output_spec() -> OutputLoopSpec {
+    let plant = plants::dc_motor();
+    let dss = c2d_zoh(&plant.sys, plant.ts).expect("c2d");
+    let gain = dlqr(&dss, &Mat::diag(&[10.0, 1.0]), &Mat::diag(&[1e-2])).expect("dlqr");
+    let kf =
+        kalman::design(&dss, &Mat::identity(2).scaled(1e-4), &Mat::diag(&[1e-4])).expect("kalman");
+    OutputLoopSpec {
+        plant: plant.sys,
+        n_controls: 1,
+        x0: vec![1.0, 0.0],
+        compensator: lqg::compensator(&dss, &gain, &kf).expect("compensator"),
+        ts: plant.ts,
+        horizon: 1.0,
+        q_weight: 1.0,
+        r_weight: 1e-2,
+        disturbance: DisturbanceKind::None,
+    }
+}
+
+/// The exp7 conditioned law: a mode operation selects a fast or a slow
+/// branch each period (`mean ± spread/2` at 40% ± 20% of the period).
+fn conditioned_case(period: TimeNs) -> (AlgorithmGraph, IoMap, OpId, ArchitectureGraph, Schedule) {
+    let mean = (period.as_nanos() as f64 * 0.4) as i64;
+    let spread = (period.as_nanos() as f64 * 0.4) as i64;
+    let mut alg = AlgorithmGraph::new();
+    let s0 = alg.add_sensor("in0");
+    let s1 = alg.add_sensor("in1");
+    let mode = alg.add_function("mode");
+    let fast = alg.add_function("fast");
+    let slow = alg.add_function("slow");
+    let merge = alg.add_function("merge");
+    let a0 = alg.add_actuator("out0");
+    alg.add_edge(s0, mode, 4).expect("edge");
+    alg.add_edge(s1, mode, 4).expect("edge");
+    alg.set_condition(fast, mode, 0).expect("condition");
+    alg.set_condition(slow, mode, 1).expect("condition");
+    alg.add_edge(fast, merge, 4).expect("edge");
+    alg.add_edge(slow, merge, 4).expect("edge");
+    alg.add_edge(merge, a0, 4).expect("edge");
+    let io = IoMap {
+        sensors: vec![s0, s1],
+        stages: vec![mode, fast, slow, merge],
+        actuators: vec![a0],
+    };
+    let mut arch = ArchitectureGraph::new();
+    arch.add_processor("ecu", "arm");
+    let tiny = TimeNs::from_micros(20);
+    let mut db = TimingDb::new();
+    for op in [s0, s1, mode, merge, a0] {
+        db.set_default(op, tiny);
+    }
+    db.set_default(fast, TimeNs::from_nanos((mean - spread / 2).max(1000)));
+    db.set_default(slow, TimeNs::from_nanos(mean + spread / 2));
+    let schedule = adequation(&alg, &arch, &db, AdequationOptions::default()).expect("adequation");
+    (alg, io, mode, arch, schedule)
+}
+
+/// The condition-source hook of the conditioned case: a sinusoid at half
+/// the sampling rate flips the branch every period.
+fn mode_signal(model: &mut Model, mode: OpId, ts: f64) -> DelayGraphConfig {
+    let osc = model.add_block(
+        "mode_signal",
+        Sine::new(1.0, 1.0 / (2.0 * ts)).with_phase(std::f64::consts::FRAC_PI_4),
+    );
+    let mut cfg = DelayGraphConfig::default();
+    cfg.condition_sources.insert(
+        mode,
+        ConditionSource {
+            block: osc,
+            output: 0,
+            mapping: Box::new(|v| usize::from(v < 0.0)),
+        },
+    );
+    cfg
+}
+
+/// The DC-motor lifecycle over two ECUs and a 3 ms bus at a short
+/// horizon.
+fn lifecycle_inputs() -> LifecycleInputs {
+    let plant = plants::dc_motor();
+    let law = ControlLawSpec::monolithic("lqr", 2, 1);
+    let (alg, io) = law.to_algorithm().expect("law translates");
+    let mut arch = ArchitectureGraph::new();
+    let p0 = arch.add_processor("ecu0", "arm");
+    let p1 = arch.add_processor("ecu1", "arm");
+    arch.add_bus(
+        "can",
+        &[p0, p1],
+        TimeNs::from_millis(3),
+        TimeNs::from_micros(10),
+    )
+    .expect("bus");
+    let mut db = uniform_timing(&alg, &io, TimeNs::from_micros(200), TimeNs::from_millis(5));
+    for &s in io.sensors.iter().chain(&io.actuators) {
+        db.forbid(s, p1);
+    }
+    db.forbid(io.stages[0], p0);
+    LifecycleInputs {
+        plant: plant.sys,
+        n_controls: 1,
+        x0: vec![1.0, 0.0],
+        ts: plant.ts,
+        horizon: 0.5,
+        lqr_q: Mat::identity(2),
+        lqr_r: Mat::diag(&[0.1]),
+        q_weight: 1.0,
+        r_weight: 0.1,
+        law,
+        arch,
+        db,
+        adequation: AdequationOptions::default(),
+        disturbance: DisturbanceKind::None,
+    }
+}
+
+/// Every co-simulation entry point on fixed fixtures: the metric bytes
+/// and probe bits of each run, the telemetry streams of the traced runs,
+/// and the lifecycle's event stream with wall-clock stamps dropped.
+#[test]
+fn cosim_entry_points_bytes_are_pinned() {
+    let mut out = String::new();
+    let (spec, base, schedule) = dc_motor_split(1.0);
+    let plan = split_fault_plan(&spec, &base, &schedule);
+    let (alg, io, arch) = (&base.alg, &base.io, &base.arch);
+
+    out.push_str(&run_lines(
+        "run_ideal",
+        &cosim::run_ideal(&spec).expect("ideal"),
+    ));
+    let mut tel = Collector::new(RecordingSink::default());
+    let r = cosim::run_ideal_traced(&spec, &mut tel).expect("ideal traced");
+    out.push_str(&run_lines("run_ideal_traced", &r));
+    out.push_str(&stream_lines("run_ideal_traced", tel.sink()));
+
+    let r = cosim::run_scheduled(&spec, alg, io, &schedule, arch).expect("scheduled");
+    out.push_str(&run_lines("run_scheduled", &r));
+    let r =
+        cosim::run_scheduled_faulty(&spec, alg, io, &schedule, arch, plan.clone()).expect("faulty");
+    out.push_str(&run_lines("run_scheduled_faulty", &r));
+    for (tag, faults) in [
+        ("run_scheduled_phased nominal", None),
+        ("run_scheduled_phased faulty", Some(plan.clone())),
+    ] {
+        let (r, _) =
+            cosim::run_scheduled_phased(&spec, alg, io, &schedule, arch, faults).expect("phased");
+        out.push_str(&run_lines(tag, &r));
+    }
+    let mut tel = Collector::new(RecordingSink::default());
+    let r = cosim::run_scheduled_traced(&spec, alg, io, &schedule, arch, &mut tel)
+        .expect("scheduled traced");
+    out.push_str(&run_lines("run_scheduled_traced", &r));
+    out.push_str(&stream_lines("run_scheduled_traced", tel.sink()));
+
+    let cond_spec = dc_motor_loop(1.0).expect("loop spec");
+    let ts = cond_spec.ts;
+    let (c_alg, c_io, mode, c_arch, c_schedule) = conditioned_case(TimeNs::from_secs_f64(ts));
+    let r = cosim::run_scheduled_with(&cond_spec, &c_alg, &c_io, &c_schedule, &c_arch, |model| {
+        Ok(mode_signal(model, mode, ts))
+    })
+    .expect("conditioned");
+    out.push_str(&run_lines("run_scheduled_with conditioned", &r));
+
+    let lqg = lqg_output_spec();
+    out.push_str(&run_lines(
+        "run_output_ideal",
+        &cosim::run_output_ideal(&lqg).expect("output ideal"),
+    ));
+    // One sensor (the measured speed) and one actuator over the split.
+    let o_base = split_scenario(
+        1,
+        1,
+        TimeNs::from_millis(2),
+        TimeNs::from_micros(200),
+        TimeNs::from_millis(5),
+    )
+    .expect("scenario");
+    let o_schedule = adequation(
+        &o_base.alg,
+        &o_base.arch,
+        &o_base.db,
+        AdequationOptions::default(),
+    )
+    .expect("adequation");
+    let r = cosim::run_output_scheduled(&lqg, &o_base.alg, &o_base.io, &o_schedule, &o_base.arch)
+        .expect("output scheduled");
+    out.push_str(&run_lines("run_output_scheduled", &r));
+
+    let mut tel = Collector::new(RecordingSink::default());
+    let rep = lifecycle::run_with(&lifecycle_inputs(), &mut tel).expect("lifecycle");
+    out.push_str(&run_lines("lifecycle ideal", &rep.ideal));
+    out.push_str(&run_lines("lifecycle implemented", &rep.implemented));
+    out.push_str(&run_lines("lifecycle calibrated", &rep.calibrated));
+    out.push_str(&stream_lines("lifecycle::run_with", tel.sink()));
+
+    check_golden("cosim_entry_points.txt", &out);
 }
