@@ -42,9 +42,9 @@
 use ecl_aaa::{adequation, AdequationOptions, Fnv1a, TimeNs};
 use ecl_bench::fleet::{run_sweep, workers_from_env, SweepConfig, SweepOutput};
 use ecl_bench::{dc_motor_loop, split_scenario, write_result, SplitScenario};
-use ecl_core::cosim::{self, LoopSpec};
+use ecl_core::cosim::{self, Activation, LoopSpec};
 use ecl_core::faults::{FaultConfig, FaultPlan};
-use ecl_telemetry::{Phase, ProfileReport};
+use ecl_telemetry::{Collector, Phase, ProfileReport};
 
 /// Scenario count: one order of magnitude past E16-SCALE's 10⁵.
 const SCENARIOS: usize = 1_000_000;
@@ -177,8 +177,15 @@ fn hot_allocs_probe() -> Result<u64, Box<dyn std::error::Error>> {
         &base.arch,
         8,
     )?;
-    let faulty =
-        cosim::run_scheduled_faulty(&spec, &base.alg, &base.io, &schedule, &base.arch, plan)?;
+    let faulty = spec
+        .wire(Activation::scheduled(
+            &base.alg,
+            &base.io,
+            &schedule,
+            &base.arch,
+            Some(plan),
+        ))?
+        .run(&mut Collector::noop(), "")?;
     total += faulty.stats.hot_allocs;
     Ok(total)
 }

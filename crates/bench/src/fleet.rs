@@ -41,7 +41,9 @@ use std::time::Instant;
 use ecl_aaa::{
     codegen, AdequationOptions, Fnv1a, MappingPolicy, Schedule, ScheduleCache, TimeNs, TimingDb,
 };
-use ecl_core::cosim::{self, CosimPhases, IdealRunCache, LoopResult, LoopSpec, ScheduledRunCache};
+use ecl_core::cosim::{
+    self, Activation, CosimPhases, IdealRunCache, LoopResult, LoopSpec, ScheduledRunCache,
+};
 use ecl_core::faults::{FaultConfig, FaultFamily, FaultPlan};
 use ecl_core::latency::LatencyReport;
 use ecl_core::report::{
@@ -1057,25 +1059,12 @@ impl SweepAccumulator {
     }
 }
 
-/// Records the synthesis/simulation wall-clock split of one
-/// [`cosim::run_scheduled_phased`] call as two back-to-back profile
-/// spans starting at `start_ns`.
-fn push_cosim_spans(wp: &mut WorkerProfile, scenario: usize, start_ns: u64, phases: CosimPhases) {
-    let synthesized = start_ns + phases.synthesis_wall_ns;
-    wp.push_span(scenario, Phase::Synthesis, start_ns, synthesized);
-    wp.push_span(
-        scenario,
-        Phase::Cosim,
-        synthesized,
-        synthesized + phases.simulation_wall_ns,
-    );
-}
-
 /// Attributes one memoized co-simulation lookup that started at
-/// `start_ns`: a miss carries real synthesis/simulation phases; a hit
-/// charges the lookup itself (digest + lock + `Arc` clone) to the
-/// co-simulation phase, so the profile shows what the memo reduced the
-/// phase *to* rather than dropping the time on the floor.
+/// `start_ns`: a miss records its wiring/simulation split as back-to-back
+/// synthesis and co-simulation spans; a hit charges the lookup itself
+/// (digest + lock + `Arc` clone) to the co-simulation phase, so the
+/// profile shows what the memo reduced the phase *to* rather than
+/// dropping the time on the floor.
 fn push_memo_spans(
     wp: &mut WorkerProfile,
     scenario: usize,
@@ -1087,7 +1076,10 @@ fn push_memo_spans(
         let end = wp.now_ns();
         wp.push_span(scenario, Phase::Cosim, start_ns, end);
     } else {
-        push_cosim_spans(wp, scenario, start_ns, phases);
+        let synthesized = start_ns + phases.synthesis_wall_ns;
+        wp.push_span(scenario, Phase::Synthesis, start_ns, synthesized);
+        let simulated = synthesized + phases.simulation_wall_ns;
+        wp.push_span(scenario, Phase::Cosim, synthesized, simulated);
     }
 }
 
@@ -1126,15 +1118,13 @@ fn scheduled_cosim(
         push_memo_spans(wp, index, t0, hit, phases);
         Ok((run, key))
     } else {
-        let (run, phases) = cosim::run_scheduled_phased(
-            spec2,
-            &base.alg,
-            &base.io,
-            schedule,
-            &base.arch,
-            plan.cloned(),
-        )?;
-        push_cosim_spans(wp, index, t0, phases);
+        let activation =
+            Activation::scheduled(&base.alg, &base.io, schedule, &base.arch, plan.cloned());
+        let wired = spec2.wire(activation)?;
+        let synthesized = wp.now_ns();
+        let run = wired.run(&mut Collector::noop(), "")?;
+        wp.push_span(index, Phase::Synthesis, t0, synthesized);
+        wp.push_span(index, Phase::Cosim, synthesized, wp.now_ns());
         let key = cosim::scheduled_run_digest(spec2, schedule_digest, plan);
         Ok((Arc::new(run), key))
     }
@@ -1510,15 +1500,23 @@ fn finish_row(
             (&owned.0, &owned.1)
         }
         Nominal::Traced => {
-            // The traced driver interleaves synthesis, timeline emission
-            // and simulation, so the whole run is attributed to
-            // co-simulation.
+            // A traced row interleaves synthesis, timeline emission and
+            // simulation, so the whole run is attributed to co-simulation.
             let (run, sink) = wp.phase(index, Phase::Cosim, |_| {
                 let sink = PrefixSink::new(format!("s{index}:"), RecordingSink::default());
                 let mut tel = Collector::new(sink);
-                let run = cosim::run_scheduled_traced(
-                    spec2, &base.alg, &base.io, schedule, &base.arch, &mut tel,
-                )?;
+                let wired = spec2.wire(Activation::scheduled(
+                    &base.alg, &base.io, schedule, &base.arch, None,
+                ))?;
+                cosim::emit_schedule_timeline(
+                    &mut tel,
+                    schedule,
+                    &base.alg,
+                    &base.arch,
+                    spec2.ts,
+                    spec2.horizon,
+                );
+                let run = wired.run(&mut tel, "")?;
                 // Surface the hot-loop engine counters into the same
                 // stream: sim-derived, deterministic, stamped at the
                 // horizon.
@@ -2926,7 +2924,7 @@ mod tests {
         }
 
         /// A memoized scheduled run answers with bits identical to a
-        /// fresh [`cosim::run_scheduled_faulty`] for any sampling period
+        /// fresh faulty co-simulation for any sampling period
         /// and fault draw — cost, instants, engine counters — so no sweep
         /// artifact can depend on whether a scenario hit or missed the
         /// scheduled memo.
@@ -2970,7 +2968,7 @@ mod tests {
             .unwrap();
             let memo = ScheduledRunCache::new();
             let lookup = || {
-                memo.get_or_run(
+                memo.get_or_run_phased(
                     &spec,
                     &base.alg,
                     &base.io,
@@ -2980,18 +2978,20 @@ mod tests {
                     Some(&plan),
                 )
             };
-            let first = lookup().unwrap();
-            let second = lookup().unwrap();
+            let (first, ..) = lookup().unwrap();
+            let (second, ..) = lookup().unwrap();
             prop_assert_eq!((memo.hits(), memo.misses()), (1, 1));
-            let fresh = cosim::run_scheduled_faulty(
-                &spec,
-                &base.alg,
-                &base.io,
-                &schedule,
-                &base.arch,
-                plan.clone(),
-            )
-            .unwrap();
+            let fresh = spec
+                .wire(Activation::scheduled(
+                    &base.alg,
+                    &base.io,
+                    &schedule,
+                    &base.arch,
+                    Some(plan.clone()),
+                ))
+                .unwrap()
+                .run(&mut Collector::noop(), "")
+                .unwrap();
             for r in [&first, &second] {
                 prop_assert_eq!(r.cost.to_bits(), fresh.cost.to_bits());
                 prop_assert_eq!(&r.sample_instants, &fresh.sample_instants);

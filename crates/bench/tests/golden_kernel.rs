@@ -26,7 +26,10 @@ use ecl_bench::fleet::{run_sweep, FaultAxes, SweepConfig};
 use ecl_bench::{dc_motor_loop, split_scenario, SplitScenario};
 use ecl_blocks::Sine;
 use ecl_control::{c2d_zoh, dlqr, kalman, lqg, plants};
-use ecl_core::cosim::{self, DisturbanceKind, LoopResult, LoopSpec, OutputLoopSpec};
+use ecl_core::cosim::{
+    self, Activation, DisturbanceKind, LoopResult, LoopSpec, OutputLoopSpec, ScheduledRunCache,
+    WiredLoop,
+};
 use ecl_core::delays::{ConditionSource, DelayGraphConfig};
 use ecl_core::faults::{FaultConfig, FaultPlan};
 use ecl_core::lifecycle::{self, LifecycleInputs};
@@ -454,57 +457,74 @@ fn lifecycle_inputs() -> LifecycleInputs {
     }
 }
 
-/// Every co-simulation entry point on fixed fixtures: the metric bytes
-/// and probe bits of each run, the telemetry streams of the traced runs,
-/// and the lifecycle's event stream with wall-clock stamps dropped.
+/// Untraced second stage of the co-simulation path.
+fn run(wired: WiredLoop) -> LoopResult {
+    wired.run(&mut Collector::noop(), "").expect("run")
+}
+
+/// Every co-simulation flavour on fixed fixtures: the metric bytes and
+/// probe bits of each run, the telemetry streams of the traced runs, and
+/// the lifecycle's event stream with wall-clock stamps dropped. Section
+/// tags keep the names of the nine per-flavour entry points the golden
+/// was blessed with; all now go through `wire` → `run`.
 #[test]
 fn cosim_entry_points_bytes_are_pinned() {
     let mut out = String::new();
     let (spec, base, schedule) = dc_motor_split(1.0);
     let plan = split_fault_plan(&spec, &base, &schedule);
     let (alg, io, arch) = (&base.alg, &base.io, &base.arch);
+    let scheduled = |faults| Activation::scheduled(alg, io, &schedule, arch, faults);
 
     out.push_str(&run_lines(
         "run_ideal",
         &cosim::run_ideal(&spec).expect("ideal"),
     ));
     let mut tel = Collector::new(RecordingSink::default());
-    let r = cosim::run_ideal_traced(&spec, &mut tel).expect("ideal traced");
+    let r = spec
+        .wire(Activation::Ideal)
+        .expect("wire")
+        .run(&mut tel, "ideal:")
+        .expect("ideal traced");
     out.push_str(&run_lines("run_ideal_traced", &r));
     out.push_str(&stream_lines("run_ideal_traced", tel.sink()));
 
     let r = cosim::run_scheduled(&spec, alg, io, &schedule, arch).expect("scheduled");
     out.push_str(&run_lines("run_scheduled", &r));
-    let r =
-        cosim::run_scheduled_faulty(&spec, alg, io, &schedule, arch, plan.clone()).expect("faulty");
+    let r = run(spec.wire(scheduled(Some(plan.clone()))).expect("faulty"));
     out.push_str(&run_lines("run_scheduled_faulty", &r));
     for (tag, faults) in [
         ("run_scheduled_phased nominal", None),
-        ("run_scheduled_phased faulty", Some(plan.clone())),
+        ("run_scheduled_phased faulty", Some(&plan)),
     ] {
-        let (r, _) =
-            cosim::run_scheduled_phased(&spec, alg, io, &schedule, arch, faults).expect("phased");
+        let (r, ..) = ScheduledRunCache::new()
+            .get_or_run_phased(&spec, alg, io, &schedule, arch, 0, faults)
+            .expect("phased");
         out.push_str(&run_lines(tag, &r));
     }
     let mut tel = Collector::new(RecordingSink::default());
-    let r = cosim::run_scheduled_traced(&spec, alg, io, &schedule, arch, &mut tel)
-        .expect("scheduled traced");
+    let wired = spec.wire(scheduled(None)).expect("wire");
+    cosim::emit_schedule_timeline(&mut tel, &schedule, alg, arch, spec.ts, spec.horizon);
+    let r = wired.run(&mut tel, "").expect("scheduled traced");
     out.push_str(&run_lines("run_scheduled_traced", &r));
     out.push_str(&stream_lines("run_scheduled_traced", tel.sink()));
 
     let cond_spec = dc_motor_loop(1.0).expect("loop spec");
     let ts = cond_spec.ts;
     let (c_alg, c_io, mode, c_arch, c_schedule) = conditioned_case(TimeNs::from_secs_f64(ts));
-    let r = cosim::run_scheduled_with(&cond_spec, &c_alg, &c_io, &c_schedule, &c_arch, |model| {
-        Ok(mode_signal(model, mode, ts))
-    })
-    .expect("conditioned");
+    let conditioned = Activation::Scheduled {
+        alg: &c_alg,
+        io: &c_io,
+        schedule: &c_schedule,
+        arch: &c_arch,
+        configure: Box::new(|model| Ok(mode_signal(model, mode, ts))),
+    };
+    let r = run(cond_spec.wire(conditioned).expect("conditioned"));
     out.push_str(&run_lines("run_scheduled_with conditioned", &r));
 
     let lqg = lqg_output_spec();
     out.push_str(&run_lines(
         "run_output_ideal",
-        &cosim::run_output_ideal(&lqg).expect("output ideal"),
+        &run(lqg.wire(Activation::Ideal).expect("output ideal")),
     ));
     // One sensor (the measured speed) and one actuator over the split.
     let o_base = split_scenario(
@@ -522,8 +542,9 @@ fn cosim_entry_points_bytes_are_pinned() {
         AdequationOptions::default(),
     )
     .expect("adequation");
-    let r = cosim::run_output_scheduled(&lqg, &o_base.alg, &o_base.io, &o_schedule, &o_base.arch)
-        .expect("output scheduled");
+    let o_scheduled =
+        Activation::scheduled(&o_base.alg, &o_base.io, &o_schedule, &o_base.arch, None);
+    let r = run(lqg.wire(o_scheduled).expect("output scheduled"));
     out.push_str(&run_lines("run_output_scheduled", &r));
 
     let mut tel = Collector::new(RecordingSink::default());

@@ -1,16 +1,18 @@
-//! Closed-loop co-simulation drivers.
+//! Closed-loop co-simulation: one path, [`LoopSpec::wire`] (or
+//! [`OutputLoopSpec::wire`]) then [`WiredLoop::run`].
 //!
-//! [`run_ideal`] simulates the loop under the *stroboscopic model* (paper
-//! Fig. 2): one activation clock samples every input, runs the controller,
-//! and applies every output at the same instant — the assumption control
-//! engineers design under. [`run_scheduled`] simulates the same loop with
-//! the **graph of delays** (paper Fig. 3) synthesized from a SynDEx
-//! schedule: sampling, computation and actuation are re-activated at the
-//! instants of the distributed implementation, exposing its impact on
-//! control performance *before any code runs on a target*.
+//! [`Activation::Ideal`] wires the *stroboscopic model* (paper Fig. 2):
+//! one clock samples every input, runs the controller, and applies every
+//! output at the same instant — the assumption control engineers design
+//! under. [`Activation::Scheduled`] wires the **graph of delays** (paper
+//! Fig. 3) synthesized from a SynDEx schedule: sampling, computation and
+//! actuation fire at the distributed implementation's instants, exposing
+//! its impact on control performance *before any code runs on a target*.
+//! [`run_ideal`] and [`run_scheduled`] are the untraced shorthands.
 
 use std::ops::Deref;
 use std::sync::Arc;
+use std::time::Instant;
 
 use ecl_aaa::{timeline, AlgorithmGraph, ArchitectureGraph, Fnv1a, Schedule, TimeNs};
 use ecl_blocks::{add_clock, Constant, DiscreteStateSpace, SampleHold, SampledNoise, StateSpaceCt};
@@ -23,7 +25,7 @@ use ecl_telemetry::{Collector, DigestMemo, Event, Histogram, Sink};
 
 use crate::delays::{self, DelayGraphConfig};
 use crate::faults::FaultPlan;
-use crate::latency::{latencies, latencies_strict, LatencyReport};
+use crate::latency::{latencies, latencies_strict, LatencyReport, LatencySeries};
 use crate::translate::IoMap;
 use crate::CoreError;
 
@@ -76,21 +78,15 @@ pub struct LoopSpec {
 
 impl LoopSpec {
     fn validate(&self) -> Result<(), CoreError> {
+        validate_loop(
+            &self.plant,
+            self.n_controls,
+            &self.x0,
+            self.ts,
+            self.horizon,
+        )?;
         let n = self.plant.state_dim();
         let bad = |reason: String| Err(CoreError::InvalidInput { reason });
-        if self.n_controls == 0 || self.n_controls > self.plant.input_dim() {
-            return bad(format!(
-                "n_controls = {} out of range for a plant with {} inputs",
-                self.n_controls,
-                self.plant.input_dim()
-            ));
-        }
-        if self.x0.len() != n {
-            return bad(format!(
-                "x0 has {} entries, plant has {n} states",
-                self.x0.len()
-            ));
-        }
         if self.feedback.shape() != (self.n_controls, n) {
             return bad(format!(
                 "feedback gain must be {}x{n}, got {}x{}",
@@ -108,9 +104,6 @@ impl LoopSpec {
                     ku.cols()
                 ));
             }
-        }
-        if !(self.ts > 0.0) || !(self.horizon > 0.0) {
-            return bad("ts and horizon must be positive".into());
         }
         Ok(())
     }
@@ -140,6 +133,71 @@ impl LoopSpec {
         };
         Ok(blk)
     }
+
+    /// Stage one of the co-simulation path: assembles the loop — the
+    /// plant's full state (`C = I`, `D = 0`) sampled by one Sample/Hold
+    /// per state, initialized to `x0` — and wires its activation.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidInput`] for a malformed spec or, when scheduled,
+    /// an `io` without one sensor per state and one actuator per control;
+    /// propagated wiring, synthesis and hook errors.
+    pub fn wire(&self, activation: Activation<'_>) -> Result<WiredLoop, CoreError> {
+        self.validate()?;
+        let n = self.plant.state_dim();
+        LoopShape {
+            plant: &self.plant,
+            c: Mat::identity(n).into_vec(),
+            d: vec![0.0; n * self.plant.input_dim()],
+            x0: &self.x0,
+            sample_init: self.x0.clone(),
+            sample_prefix: "sample_x",
+            controller_name: "controller",
+            controller: self.controller()?,
+            n_controls: self.n_controls,
+            disturbance: self.disturbance,
+            q_weight: self.q_weight,
+            r_weight: self.r_weight,
+            ts: self.ts,
+            horizon: self.horizon,
+        }
+        .wire(activation)
+    }
+}
+
+/// The checks [`LoopSpec`] and [`OutputLoopSpec`] share: the control
+/// count, the initial state, and a sampling period and horizon that are
+/// positive on the nanosecond clock.
+fn validate_loop(
+    plant: &StateSpace,
+    n_controls: usize,
+    x0: &[f64],
+    ts: f64,
+    horizon: f64,
+) -> Result<(), CoreError> {
+    let bad = |reason: String| Err(CoreError::InvalidInput { reason });
+    if n_controls == 0 || n_controls > plant.input_dim() {
+        return bad(format!(
+            "n_controls = {n_controls} out of range for a plant with {} inputs",
+            plant.input_dim()
+        ));
+    }
+    if x0.len() != plant.state_dim() {
+        return bad(format!(
+            "x0 has {} entries, plant has {} states",
+            x0.len(),
+            plant.state_dim()
+        ));
+    }
+    let on_clock = |s: f64| TimeNs::checked_from_secs_f64(s).is_some_and(|t| t > TimeNs::ZERO);
+    if !on_clock(ts) || !on_clock(horizon) {
+        return bad(format!(
+            "ts and horizon must be positive and fit the nanosecond clock, \
+             got ts = {ts}, horizon = {horizon}"
+        ));
+    }
+    Ok(())
 }
 
 /// Result of a closed-loop run.
@@ -183,15 +241,7 @@ impl LoopResult {
     /// input side), or any series is unsorted or causally impossible
     /// (negative latency).
     pub fn latency_report(&self) -> Result<LatencyReport, CoreError> {
-        let period = TimeNs::from_secs_f64(self.ts);
-        let mut rep = LatencyReport::default();
-        for s in &self.sample_instants {
-            rep.sampling.push(latencies_strict(s, period)?);
-        }
-        for a in &self.actuation_instants {
-            rep.actuation.push(latencies(a, period)?);
-        }
-        Ok(rep)
+        self.report_with(latencies_strict)
     }
 
     /// Like [`latency_report`](Self::latency_report), but lenient on the
@@ -206,10 +256,19 @@ impl LoopResult {
     /// Returns [`CoreError::InvalidInput`] only for unsorted or causally
     /// impossible series (negative latency), or a period-origin overflow.
     pub fn latency_report_lenient(&self) -> Result<LatencyReport, CoreError> {
+        self.report_with(latencies)
+    }
+
+    /// The report with `sampling` measuring the sampling series;
+    /// actuation series always accept cross-period completions.
+    fn report_with(
+        &self,
+        sampling: fn(&[TimeNs], TimeNs) -> Result<LatencySeries, CoreError>,
+    ) -> Result<LatencyReport, CoreError> {
         let period = TimeNs::from_secs_f64(self.ts);
         let mut rep = LatencyReport::default();
         for s in &self.sample_instants {
-            rep.sampling.push(latencies(s, period)?);
+            rep.sampling.push(sampling(s, period)?);
         }
         for a in &self.actuation_instants {
             rep.actuation.push(latencies(a, period)?);
@@ -395,270 +454,367 @@ const LOOP_RESULT_MAGIC: &[u8] = b"ECLR";
 /// Version of the [`LoopResult::to_metric_bytes`] layout; bump on change.
 const LOOP_RESULT_VERSION: u32 = 1;
 
-/// Wall-clock split of one scheduled run, measured by
-/// [`run_scheduled_phased`]: model assembly + graph-of-delays synthesis
-/// versus the simulation itself. Profiler sidecar data — never part of a
-/// deterministic artifact.
+/// Wall-clock split of one scheduled run, measured around
+/// [`LoopSpec::wire`] and [`WiredLoop::run`] by
+/// [`ScheduledRunCache::get_or_run_phased`]. Profiler sidecar data —
+/// never part of a deterministic artifact.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CosimPhases {
-    /// Wall time of [`wire_scheduled`]: assembly + delay-graph synthesis.
+    /// Wall time of the wiring: assembly + delay-graph synthesis.
     pub synthesis_wall_ns: u64,
     /// Wall time of the simulation (including latency extraction).
     pub simulation_wall_ns: u64,
 }
 
-/// The blocks shared by the ideal and scheduled assemblies.
-pub(crate) struct LoopModel {
-    model: Model,
-    sample_sh: Vec<BlockId>,
-    controller: BlockId,
-    act_sh: Vec<BlockId>,
-    /// Clock driving the disturbance sources (and the stroboscopic loop).
-    base_clock: BlockId,
+/// How a wired loop's sampling, control and actuation are activated.
+pub enum Activation<'a> {
+    /// The stroboscopic model (paper Fig. 2): the base clock activates,
+    /// at each tick and in wiring order, every input Sample/Hold, the
+    /// controller, then every output hold.
+    Ideal,
+    /// The graph of delays synthesized from `schedule` (paper Fig. 3):
+    /// each Sample/Hold and the controller are re-activated at the
+    /// distributed implementation's instants. `io` maps the algorithm
+    /// graph's sensors and actuators to the loop's sampled signals and
+    /// controls; the controller fires on the last computation stage.
+    Scheduled {
+        /// The translated algorithm graph.
+        alg: &'a AlgorithmGraph,
+        /// Sensor / stage / actuator correspondence of `alg`.
+        io: &'a IoMap,
+        /// The adequation's static schedule.
+        schedule: &'a Schedule,
+        /// The target architecture.
+        arch: &'a ArchitectureGraph,
+        /// Runs on the assembled model just before synthesis and returns
+        /// the synthesis configuration. Conditioned graphs (paper §3.2.2)
+        /// add the block producing each condition value here.
+        configure: Configure<'a>,
+    },
 }
 
-/// Builds plant + S/H + controller and the probes; activation wiring is
-/// left to the caller.
-fn assemble(spec: &LoopSpec) -> Result<LoopModel, CoreError> {
-    spec.validate()?;
-    let n = spec.plant.state_dim();
-    let m_total = spec.plant.input_dim();
-    let mc = spec.n_controls;
-    let mut model = Model::new();
-    let period = TimeNs::from_secs_f64(spec.ts);
-    let base_clock = add_clock(&mut model, "base_clock", period, TimeNs::ZERO)?;
+/// The model hook of [`Activation::Scheduled`].
+pub type Configure<'a> = Box<dyn FnOnce(&mut Model) -> Result<DelayGraphConfig, CoreError> + 'a>;
 
-    // Plant with full-state output (C = I, D = 0) so the controller can
-    // sample the state; evaluation metrics read the same probes.
-    let plant = model.add_block(
-        "plant",
-        StateSpaceCt::new(
-            n,
-            m_total,
-            n,
-            spec.plant.a().as_slice().to_vec(),
-            spec.plant.b().as_slice().to_vec(),
-            Mat::identity(n).into_vec(),
-            vec![0.0; n * m_total],
-            spec.x0.clone(),
-        )?,
-    );
-
-    // Input samplers: one S/H per plant state.
-    let mut sample_sh = Vec::with_capacity(n);
-    for j in 0..n {
-        let sh = model.add_block(format!("sample_x{j}"), SampleHold::new(spec.x0[j]));
-        model.connect(plant, j, sh, 0)?;
-        sample_sh.push(sh);
-    }
-
-    // Controller.
-    let controller = model.add_block("controller", spec.controller()?);
-    for (j, &sh) in sample_sh.iter().enumerate() {
-        model.connect(sh, 0, controller, j)?;
-    }
-
-    // Output holds: one per control, feeding the plant.
-    let mut act_sh = Vec::with_capacity(mc);
-    for j in 0..mc {
-        let sh = model.add_block(format!("hold_u{j}"), SampleHold::new(0.0));
-        model.connect(controller, j, sh, 0)?;
-        model.connect(sh, 0, plant, j)?;
-        act_sh.push(sh);
-    }
-
-    // Disturbance inputs.
-    for j in mc..m_total {
-        match spec.disturbance {
-            DisturbanceKind::None => {
-                let z = model.add_block(format!("dist{j}"), Constant::new(0.0));
-                model.connect(z, 0, plant, j)?;
-            }
-            DisturbanceKind::Noise { std_dev, seed } => {
-                let nz = model.add_block(
-                    format!("dist{j}"),
-                    SampledNoise::new(0.0, std_dev, seed.wrapping_add(j as u64)),
-                );
-                model.connect(nz, 0, plant, j)?;
-                model.connect_event(base_clock, 0, nz, 0)?;
-            }
+impl<'a> Activation<'a> {
+    /// [`Activation::Scheduled`] without model extension: the nominal
+    /// implementation, or its replay under a [`FaultPlan`] (degrading
+    /// instead of deadlocking, see [`crate::faults`]; a trivial plan wires
+    /// exactly the nominal blocks). Measure a faulty run with
+    /// [`LoopResult::latency_report_lenient`]: forced rendezvous can push
+    /// sampling past the period boundary.
+    pub fn scheduled(
+        alg: &'a AlgorithmGraph,
+        io: &'a IoMap,
+        schedule: &'a Schedule,
+        arch: &'a ArchitectureGraph,
+        faults: Option<FaultPlan>,
+    ) -> Self {
+        Activation::Scheduled {
+            alg,
+            io,
+            schedule,
+            arch,
+            configure: Box::new(move |_| {
+                Ok(DelayGraphConfig {
+                    faults,
+                    ..DelayGraphConfig::default()
+                })
+            }),
         }
     }
-
-    // Probes.
-    for j in 0..n {
-        model.probe(format!("x{j}"), plant, j)?;
-    }
-    for (j, &sh) in act_sh.iter().enumerate() {
-        model.probe(format!("u{j}"), sh, 0)?;
-    }
-
-    Ok(LoopModel {
-        model,
-        sample_sh,
-        controller,
-        act_sh,
-        base_clock,
-    })
 }
 
-/// The shape parameters `finish_traced` needs from either spec flavour.
-struct CostSpec {
-    /// Probes `x0..x{n_outputs}` weighted by `q_weight` in the cost.
-    n_outputs: usize,
+/// The one loop both spec flavours lower to: plant, input Sample/Holds,
+/// controller, output holds, disturbances and probes. The probes `x{j}`
+/// read the plant outputs the cost weighs with `q_weight`; `u{j}` read
+/// the controls.
+struct LoopShape<'s> {
+    plant: &'s StateSpace,
+    /// Plant output and feedthrough matrices, row-major.
+    c: Vec<f64>,
+    d: Vec<f64>,
+    x0: &'s [f64],
+    /// Initial value of each input Sample/Hold, one per plant output.
+    sample_init: Vec<f64>,
+    /// Input Sample/Hold names are this prefix plus the output index.
+    sample_prefix: &'static str,
+    controller_name: &'static str,
+    controller: DiscreteStateSpace,
     n_controls: usize,
+    disturbance: DisturbanceKind,
     q_weight: f64,
     r_weight: f64,
     ts: f64,
     horizon: f64,
 }
 
-impl CostSpec {
-    fn of(spec: &LoopSpec) -> Self {
-        CostSpec {
-            n_outputs: spec.plant.state_dim(),
-            n_controls: spec.n_controls,
-            q_weight: spec.q_weight,
-            r_weight: spec.r_weight,
-            ts: spec.ts,
-            horizon: spec.horizon,
+impl LoopShape<'_> {
+    /// Builds the model and wires its activation.
+    fn wire(self, activation: Activation<'_>) -> Result<WiredLoop, CoreError> {
+        let n = self.plant.state_dim();
+        let p = self.sample_init.len();
+        let m_total = self.plant.input_dim();
+        let mc = self.n_controls;
+        if let Activation::Scheduled { io, .. } = &activation {
+            if (io.sensors.len(), io.actuators.len()) != (p, mc) {
+                return Err(CoreError::InvalidInput {
+                    reason: format!(
+                        "law has {} sensors and {} actuators, the loop samples {p} plant \
+                         outputs and drives {mc} controls",
+                        io.sensors.len(),
+                        io.actuators.len()
+                    ),
+                });
+            }
         }
-    }
+        let mut model = Model::new();
+        let period = TimeNs::from_secs_f64(self.ts);
+        let base_clock = add_clock(&mut model, "base_clock", period, TimeNs::ZERO)?;
 
-    fn of_output(spec: &OutputLoopSpec) -> Self {
-        CostSpec {
-            n_outputs: spec.plant.output_dim(),
-            n_controls: spec.n_controls,
-            q_weight: spec.q_weight,
-            r_weight: spec.r_weight,
-            ts: spec.ts,
-            horizon: spec.horizon,
+        let plant = model.add_block(
+            "plant",
+            StateSpaceCt::new(
+                n,
+                m_total,
+                p,
+                self.plant.a().as_slice().to_vec(),
+                self.plant.b().as_slice().to_vec(),
+                self.c,
+                self.d,
+                self.x0.to_vec(),
+            )?,
+        );
+
+        // Input samplers: one S/H per plant output.
+        let mut sample_sh = Vec::with_capacity(p);
+        for j in 0..p {
+            let sh = model.add_block(
+                format!("{}{j}", self.sample_prefix),
+                SampleHold::new(self.sample_init[j]),
+            );
+            model.connect(plant, j, sh, 0)?;
+            sample_sh.push(sh);
         }
+
+        let controller = model.add_block(self.controller_name, self.controller);
+        for (j, &sh) in sample_sh.iter().enumerate() {
+            model.connect(sh, 0, controller, j)?;
+        }
+
+        // Output holds: one per control, feeding the plant.
+        let mut act_sh = Vec::with_capacity(mc);
+        for j in 0..mc {
+            let sh = model.add_block(format!("hold_u{j}"), SampleHold::new(0.0));
+            model.connect(controller, j, sh, 0)?;
+            model.connect(sh, 0, plant, j)?;
+            act_sh.push(sh);
+        }
+
+        // Disturbance inputs.
+        for j in mc..m_total {
+            match self.disturbance {
+                DisturbanceKind::None => {
+                    let z = model.add_block(format!("dist{j}"), Constant::new(0.0));
+                    model.connect(z, 0, plant, j)?;
+                }
+                DisturbanceKind::Noise { std_dev, seed } => {
+                    let nz = model.add_block(
+                        format!("dist{j}"),
+                        SampledNoise::new(0.0, std_dev, seed.wrapping_add(j as u64)),
+                    );
+                    model.connect(nz, 0, plant, j)?;
+                    model.connect_event(base_clock, 0, nz, 0)?;
+                }
+            }
+        }
+
+        // Probes.
+        for j in 0..p {
+            model.probe(format!("x{j}"), plant, j)?;
+        }
+        for (j, &sh) in act_sh.iter().enumerate() {
+            model.probe(format!("u{j}"), sh, 0)?;
+        }
+
+        match activation {
+            Activation::Ideal => {
+                for &sh in &sample_sh {
+                    model.connect_event(base_clock, 0, sh, 0)?;
+                }
+                model.connect_event(base_clock, 0, controller, 0)?;
+                for &sh in &act_sh {
+                    model.connect_event(base_clock, 0, sh, 0)?;
+                }
+            }
+            Activation::Scheduled {
+                alg,
+                io,
+                schedule,
+                arch,
+                configure,
+            } => {
+                let config = configure(&mut model)?;
+                let dg = delays::build(&mut model, alg, arch, schedule, period, config)?;
+                for (&op, &sh) in io.sensors.iter().zip(&sample_sh) {
+                    dg.activate_on_completion(&mut model, op, sh, 0)?;
+                }
+                let compute = *io.stages.last().ok_or_else(|| CoreError::InvalidInput {
+                    reason: "law has no computation stage".into(),
+                })?;
+                dg.activate_on_completion(&mut model, compute, controller, 0)?;
+                for (&op, &sh) in io.actuators.iter().zip(&act_sh) {
+                    dg.activate_on_completion(&mut model, op, sh, 0)?;
+                }
+            }
+        }
+
+        Ok(WiredLoop {
+            model,
+            sample_sh,
+            act_sh,
+            n_outputs: p,
+            q_weight: self.q_weight,
+            r_weight: self.r_weight,
+            ts: self.ts,
+            horizon: self.horizon,
+        })
     }
+}
+
+/// An assembled, activation-wired loop, ready to simulate: the output of
+/// [`LoopSpec::wire`] / [`OutputLoopSpec::wire`].
+pub struct WiredLoop {
+    model: Model,
+    sample_sh: Vec<BlockId>,
+    act_sh: Vec<BlockId>,
+    /// Probes `x0..x{n_outputs}` weighed by `q_weight` in the cost.
+    n_outputs: usize,
+    q_weight: f64,
+    r_weight: f64,
+    ts: f64,
+    horizon: f64,
 }
 
 /// Number of fixed-width buckets of each latency histogram (over
 /// `[0, Ts)`).
 const LATENCY_BUCKETS: usize = 64;
 
-/// Runs the assembled loop and extracts cost, instants, hot-loop
-/// counters and latency histograms. One latency observation per period
-/// is streamed into the histograms and, when the collector is enabled,
-/// emitted as an [`Event::Counter`] (simulated time — deterministic).
-///
-/// `track_prefix` namespaces the counter tracks (`{prefix}Ls[j]` /
-/// `{prefix}La[j]`): every simulation restarts at simulated time 0, so
-/// when several runs share one collector (the lifecycle's ideal /
-/// implemented / calibrated runs) distinct prefixes keep per-track
-/// timestamps monotone in the exported Chrome trace.
-fn finish_traced<S: Sink>(
-    cs: &CostSpec,
-    lm: LoopModel,
-    track_prefix: &str,
-    tel: &mut Collector<S>,
-) -> Result<LoopResult, CoreError> {
-    let mut sim = Simulator::new(lm.model, SimOptions::default())?;
-    sim.run(TimeNs::from_secs_f64(cs.horizon))?;
-    let stats = sim.stats().clone();
-    // Borrow the trace for the metric passes; ownership is taken at the
-    // very end (`into_result`) without copying it.
-    let result = sim.result();
+impl WiredLoop {
+    /// Simulates the loop over its horizon and extracts cost, instants,
+    /// hot-loop counters and latency histograms. One latency observation
+    /// per I/O per period is streamed into the histograms and, when the
+    /// collector is enabled, emitted as an [`Event::Counter`] (simulated
+    /// time — deterministic).
+    ///
+    /// `track_prefix` namespaces the counter tracks (`{prefix}Ls[j]` /
+    /// `{prefix}La[j]`): every simulation restarts at simulated time 0,
+    /// so when several runs share one collector (the lifecycle's ideal /
+    /// implemented / calibrated runs) distinct prefixes keep per-track
+    /// timestamps monotone in the exported Chrome trace.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulation errors, and [`CoreError::InvalidInput`] if a
+    /// period origin overflows the nanosecond clock.
+    pub fn run<S: Sink>(
+        self,
+        tel: &mut Collector<S>,
+        track_prefix: &str,
+    ) -> Result<LoopResult, CoreError> {
+        let mut sim = Simulator::new(self.model, SimOptions::default())?;
+        sim.run(TimeNs::from_secs_f64(self.horizon))?;
+        let stats = sim.stats().clone();
+        // Borrow the trace for the metric passes; ownership is taken at
+        // the very end (`into_result`) without copying it.
+        let result = sim.result();
 
-    let mut cost = 0.0;
-    for j in 0..cs.n_outputs {
-        let sig = result
-            .signal(&format!("x{j}"))
-            .expect("probe registered in assemble");
-        cost += cs.q_weight * metrics::ise(sig.times(), sig.values(), 0.0);
-    }
-    for j in 0..cs.n_controls {
-        let sig = result
-            .signal(&format!("u{j}"))
-            .expect("probe registered in assemble");
-        cost += cs.r_weight * metrics::ise(sig.times(), sig.values(), 0.0);
-    }
+        let mut cost = 0.0;
+        for (probe, count, weight) in [
+            ("x", self.n_outputs, self.q_weight),
+            ("u", self.act_sh.len(), self.r_weight),
+        ] {
+            for j in 0..count {
+                let sig = result.signal(&format!("{probe}{j}")).expect("probe wired");
+                cost += weight * metrics::ise(sig.times(), sig.values(), 0.0);
+            }
+        }
 
-    let sample_instants: Vec<Vec<TimeNs>> = lm
-        .sample_sh
-        .iter()
-        .map(|&sh| result.activation_times(sh, Some(0)))
-        .collect();
-    let actuation_instants: Vec<Vec<TimeNs>> = lm
-        .act_sh
-        .iter()
-        .map(|&sh| result.activation_times(sh, Some(0)))
-        .collect();
+        let instants = |blocks: &[BlockId]| -> Vec<Vec<TimeNs>> {
+            blocks
+                .iter()
+                .map(|&sh| result.activation_times(sh, Some(0)))
+                .collect()
+        };
+        let sample_instants = instants(&self.sample_sh);
+        let actuation_instants = instants(&self.act_sh);
 
-    let period = TimeNs::from_secs_f64(cs.ts);
-    let bound = period.as_nanos().max(1);
-    let feed = |label: &'static str,
-                instants: &[Vec<TimeNs>],
-                tel: &mut Collector<S>|
-     -> Result<Vec<Histogram>, CoreError> {
-        instants
-            .iter()
-            .enumerate()
-            .map(|(j, series)| {
-                let mut h = Histogram::new(bound, LATENCY_BUCKETS);
-                for (k, &t) in series.iter().enumerate() {
-                    // Same guarded arithmetic as `latencies`: the period
-                    // origin k·Ts must not silently wrap in release at
-                    // huge horizons.
-                    let origin =
-                        period
-                            .checked_mul(k as i64)
-                            .ok_or_else(|| CoreError::InvalidInput {
+        let period = TimeNs::from_secs_f64(self.ts);
+        let bound = period.as_nanos().max(1);
+        let feed = |label: &'static str,
+                    instants: &[Vec<TimeNs>],
+                    tel: &mut Collector<S>|
+         -> Result<Vec<Histogram>, CoreError> {
+            instants
+                .iter()
+                .enumerate()
+                .map(|(j, series)| {
+                    let mut h = Histogram::new(bound, LATENCY_BUCKETS);
+                    for (k, &t) in series.iter().enumerate() {
+                        // Same guarded arithmetic as `latencies`: the
+                        // period origin k·Ts must not silently wrap in
+                        // release at huge horizons.
+                        let origin = period.checked_mul(k as i64).ok_or_else(|| {
+                            CoreError::InvalidInput {
                                 reason: format!(
                                     "period origin {k}·{period} overflows the i64 nanosecond range"
                                 ),
-                            })?;
-                    let lat = (t - origin).as_nanos();
-                    h.record(lat);
-                    tel.emit(|| Event::Counter {
-                        track: format!("{track_prefix}{label}[{j}]"),
-                        name: label.to_string(),
-                        at_ns: t.as_nanos(),
-                        value_ns: lat,
-                    });
-                }
-                Ok(h)
+                            }
+                        })?;
+                        let lat = (t - origin).as_nanos();
+                        h.record(lat);
+                        tel.emit(|| Event::Counter {
+                            track: format!("{track_prefix}{label}[{j}]"),
+                            name: label.to_string(),
+                            at_ns: t.as_nanos(),
+                            value_ns: lat,
+                        });
+                    }
+                    Ok(h)
+                })
+                .collect()
+        };
+        let sampling_hist = feed("Ls", &sample_instants, tel)?;
+        let actuation_hist = feed("La", &actuation_instants, tel)?;
+
+        let mut activity: Vec<(String, u64)> = stats
+            .activation_counts()
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(i, &c)| {
+                let name = sim
+                    .model()
+                    .name(BlockId::from_index(i))
+                    .unwrap_or("?")
+                    .to_string();
+                (name, c)
             })
-            .collect()
-    };
-    let sampling_hist = feed("Ls", &sample_instants, tel)?;
-    let actuation_hist = feed("La", &actuation_instants, tel)?;
+            .collect();
+        activity.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
 
-    let mut activity: Vec<(String, u64)> = stats
-        .activation_counts()
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c > 0)
-        .map(|(i, &c)| {
-            let name = sim
-                .model()
-                .name(BlockId::from_index(i))
-                .unwrap_or("?")
-                .to_string();
-            (name, c)
+        Ok(LoopResult {
+            result: sim.into_result(),
+            cost,
+            sample_instants,
+            actuation_instants,
+            ts: self.ts,
+            stats,
+            sampling_hist,
+            actuation_hist,
+            activity,
         })
-        .collect();
-    activity.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-
-    Ok(LoopResult {
-        result: sim.into_result(),
-        cost,
-        sample_instants,
-        actuation_instants,
-        ts: cs.ts,
-        stats,
-        sampling_hist,
-        actuation_hist,
-        activity,
-    })
-}
-
-fn finish(spec: &LoopSpec, lm: LoopModel) -> Result<LoopResult, CoreError> {
-    finish_traced(&CostSpec::of(spec), lm, "", &mut Collector::noop())
+    }
 }
 
 /// Description of a sampled-data loop closed through *measured outputs*
@@ -690,21 +846,14 @@ pub struct OutputLoopSpec {
 
 impl OutputLoopSpec {
     fn validate(&self) -> Result<(), CoreError> {
+        validate_loop(
+            &self.plant,
+            self.n_controls,
+            &self.x0,
+            self.ts,
+            self.horizon,
+        )?;
         let bad = |reason: String| Err(CoreError::InvalidInput { reason });
-        if self.n_controls == 0 || self.n_controls > self.plant.input_dim() {
-            return bad(format!(
-                "n_controls = {} out of range for a plant with {} inputs",
-                self.n_controls,
-                self.plant.input_dim()
-            ));
-        }
-        if self.x0.len() != self.plant.state_dim() {
-            return bad(format!(
-                "x0 has {} entries, plant has {} states",
-                self.x0.len(),
-                self.plant.state_dim()
-            ));
-        }
         if self.compensator.input_dim() != self.plant.output_dim() {
             return bad(format!(
                 "compensator consumes {} measurements, plant produces {}",
@@ -719,9 +868,6 @@ impl OutputLoopSpec {
                 self.n_controls
             ));
         }
-        if !(self.ts > 0.0) || !(self.horizon > 0.0) {
-            return bad("ts and horizon must be positive".into());
-        }
         if (self.compensator.ts() - self.ts).abs() > 1e-12 {
             return bad(format!(
                 "compensator period {} disagrees with loop period {}",
@@ -731,195 +877,77 @@ impl OutputLoopSpec {
         }
         Ok(())
     }
-}
 
-/// Builds plant (real outputs) + measurement S/H + compensator + holds.
-fn assemble_output(spec: &OutputLoopSpec) -> Result<LoopModel, CoreError> {
-    spec.validate()?;
-    let n = spec.plant.state_dim();
-    let p = spec.plant.output_dim();
-    let m_total = spec.plant.input_dim();
-    let mc = spec.n_controls;
-    let mut model = Model::new();
-    let period = TimeNs::from_secs_f64(spec.ts);
-    let base_clock = add_clock(&mut model, "base_clock", period, TimeNs::ZERO)?;
-
-    let plant = model.add_block(
-        "plant",
-        StateSpaceCt::new(
-            n,
-            m_total,
-            p,
-            spec.plant.a().as_slice().to_vec(),
-            spec.plant.b().as_slice().to_vec(),
-            spec.plant.c().as_slice().to_vec(),
-            spec.plant.d().as_slice().to_vec(),
-            spec.x0.clone(),
-        )?,
-    );
-
-    let mut sample_sh = Vec::with_capacity(p);
-    for j in 0..p {
-        let sh = model.add_block(format!("sample_y{j}"), SampleHold::new(0.0));
-        model.connect(plant, j, sh, 0)?;
-        sample_sh.push(sh);
-    }
-
-    let comp = &spec.compensator;
-    let controller = model.add_block(
-        "compensator",
-        DiscreteStateSpace::new(
+    /// Assembles the loop and wires its activation, like
+    /// [`LoopSpec::wire`]. The plant keeps its real `C`/`D`; one input
+    /// Sample/Hold per measured output (initially zero) feeds the
+    /// compensator, and the cost weighs the measured outputs.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`LoopSpec::wire`], with one sensor per measured output.
+    pub fn wire(&self, activation: Activation<'_>) -> Result<WiredLoop, CoreError> {
+        self.validate()?;
+        let p = self.plant.output_dim();
+        let comp = &self.compensator;
+        let controller = DiscreteStateSpace::new(
             comp.state_dim(),
             p,
-            mc,
+            self.n_controls,
             comp.a().as_slice().to_vec(),
             comp.b().as_slice().to_vec(),
             comp.c().as_slice().to_vec(),
             comp.d().as_slice().to_vec(),
             vec![0.0; comp.state_dim()],
-        )?,
-    );
-    for (j, &sh) in sample_sh.iter().enumerate() {
-        model.connect(sh, 0, controller, j)?;
-    }
-
-    let mut act_sh = Vec::with_capacity(mc);
-    for j in 0..mc {
-        let sh = model.add_block(format!("hold_u{j}"), SampleHold::new(0.0));
-        model.connect(controller, j, sh, 0)?;
-        model.connect(sh, 0, plant, j)?;
-        act_sh.push(sh);
-    }
-
-    for j in mc..m_total {
-        match spec.disturbance {
-            DisturbanceKind::None => {
-                let z = model.add_block(format!("dist{j}"), Constant::new(0.0));
-                model.connect(z, 0, plant, j)?;
-            }
-            DisturbanceKind::Noise { std_dev, seed } => {
-                let nz = model.add_block(
-                    format!("dist{j}"),
-                    SampledNoise::new(0.0, std_dev, seed.wrapping_add(j as u64)),
-                );
-                model.connect(nz, 0, plant, j)?;
-                model.connect_event(base_clock, 0, nz, 0)?;
-            }
+        )?;
+        LoopShape {
+            plant: &self.plant,
+            c: self.plant.c().as_slice().to_vec(),
+            d: self.plant.d().as_slice().to_vec(),
+            x0: &self.x0,
+            sample_init: vec![0.0; p],
+            sample_prefix: "sample_y",
+            controller_name: "compensator",
+            controller,
+            n_controls: self.n_controls,
+            disturbance: self.disturbance,
+            q_weight: self.q_weight,
+            r_weight: self.r_weight,
+            ts: self.ts,
+            horizon: self.horizon,
         }
+        .wire(activation)
     }
-
-    // Probe the measured outputs (as `x{j}` so `finish` computes the cost
-    // over them uniformly) and the controls.
-    for j in 0..p {
-        model.probe(format!("x{j}"), plant, j)?;
-    }
-    for (j, &sh) in act_sh.iter().enumerate() {
-        model.probe(format!("u{j}"), sh, 0)?;
-    }
-
-    Ok(LoopModel {
-        model,
-        sample_sh,
-        controller,
-        act_sh,
-        base_clock,
-    })
 }
 
-fn finish_output(spec: &OutputLoopSpec, lm: LoopModel) -> Result<LoopResult, CoreError> {
-    finish_traced(&CostSpec::of_output(spec), lm, "", &mut Collector::noop())
-}
-
-/// Simulates an output-feedback loop under the stroboscopic model.
-///
-/// # Errors
-///
-/// Propagates specification-validation and simulation errors.
-pub fn run_output_ideal(spec: &OutputLoopSpec) -> Result<LoopResult, CoreError> {
-    let mut lm = assemble_output(spec)?;
-    for &sh in &lm.sample_sh.clone() {
-        lm.model.connect_event(lm.base_clock, 0, sh, 0)?;
-    }
-    lm.model.connect_event(lm.base_clock, 0, lm.controller, 0)?;
-    for &sh in &lm.act_sh.clone() {
-        lm.model.connect_event(lm.base_clock, 0, sh, 0)?;
-    }
-    finish_output(spec, lm)
-}
-
-/// Simulates an output-feedback loop re-activated by the graph of delays
-/// synthesized from `schedule`. There must be one sensor operation per
-/// plant output and one actuator per control.
-///
-/// # Errors
-///
-/// Same as [`run_scheduled`].
-pub fn run_output_scheduled(
-    spec: &OutputLoopSpec,
-    alg: &AlgorithmGraph,
-    io: &IoMap,
-    schedule: &Schedule,
-    arch: &ArchitectureGraph,
-) -> Result<LoopResult, CoreError> {
-    let p = spec.plant.output_dim();
-    if io.sensors.len() != p {
-        return Err(CoreError::InvalidInput {
-            reason: format!(
-                "law has {} sensors but the plant has {p} measured outputs",
-                io.sensors.len()
-            ),
-        });
-    }
-    if io.actuators.len() != spec.n_controls {
-        return Err(CoreError::InvalidInput {
-            reason: format!(
-                "law has {} actuators but the loop has {} controls",
-                io.actuators.len(),
-                spec.n_controls
-            ),
-        });
-    }
-    let mut lm = assemble_output(spec)?;
-    let period = TimeNs::from_secs_f64(spec.ts);
-    let dg = delays::build(
-        &mut lm.model,
-        alg,
-        arch,
-        schedule,
-        period,
-        DelayGraphConfig::default(),
-    )?;
-    for (j, &op) in io.sensors.iter().enumerate() {
-        dg.activate_on_completion(&mut lm.model, op, lm.sample_sh[j], 0)?;
-    }
-    let compute = *io.stages.last().ok_or_else(|| CoreError::InvalidInput {
-        reason: "law has no computation stage".into(),
-    })?;
-    dg.activate_on_completion(&mut lm.model, compute, lm.controller, 0)?;
-    for (j, &op) in io.actuators.iter().enumerate() {
-        dg.activate_on_completion(&mut lm.model, op, lm.act_sh[j], 0)?;
-    }
-    finish_output(spec, lm)
-}
-
-/// Simulates the loop under the stroboscopic model (paper Fig. 2): one
-/// clock activates sampling, control and actuation simultaneously.
+/// Simulates the loop under the stroboscopic model (paper Fig. 2):
+/// [`LoopSpec::wire`] with [`Activation::Ideal`], then an untraced
+/// [`WiredLoop::run`].
 ///
 /// # Errors
 ///
 /// Propagates specification-validation and simulation errors.
 pub fn run_ideal(spec: &LoopSpec) -> Result<LoopResult, CoreError> {
-    let mut lm = assemble(spec)?;
-    // Activation order at each tick: sample all inputs, run the
-    // controller, apply all outputs — deliveries happen in wiring order.
-    for &sh in &lm.sample_sh.clone() {
-        lm.model.connect_event(lm.base_clock, 0, sh, 0)?;
-    }
-    lm.model.connect_event(lm.base_clock, 0, lm.controller, 0)?;
-    for &sh in &lm.act_sh.clone() {
-        lm.model.connect_event(lm.base_clock, 0, sh, 0)?;
-    }
-    finish(spec, lm)
+    spec.wire(Activation::Ideal)?
+        .run(&mut Collector::noop(), "")
+}
+
+/// Simulates the loop with the graph of delays synthesized from
+/// `schedule` (paper Fig. 3): [`LoopSpec::wire`] with the nominal
+/// [`Activation::scheduled`], then an untraced [`WiredLoop::run`].
+///
+/// # Errors
+///
+/// Same as [`LoopSpec::wire`] and [`WiredLoop::run`].
+pub fn run_scheduled(
+    spec: &LoopSpec,
+    alg: &AlgorithmGraph,
+    io: &IoMap,
+    schedule: &Schedule,
+    arch: &ArchitectureGraph,
+) -> Result<LoopResult, CoreError> {
+    spec.wire(Activation::scheduled(alg, io, schedule, arch, None))?
+        .run(&mut Collector::noop(), "")
 }
 
 /// Content digest of every input [`run_ideal`] reads: all [`LoopSpec`]
@@ -1106,8 +1134,8 @@ pub fn scheduled_run_digest(
     h.finish()
 }
 
-/// The [`DigestMemo`] from [`scheduled_run_digest`] keys to
-/// [`run_scheduled`]/[`run_scheduled_faulty`] results.
+/// The [`DigestMemo`] from [`scheduled_run_digest`] keys to scheduled
+/// (possibly faulty) run results.
 ///
 /// The exp16 profiler attributes ~93% of sweep time to scheduled
 /// co-simulation, and a fault-axis sweep pigeonholes heavily on
@@ -1137,39 +1165,21 @@ impl ScheduledRunCache {
     }
 
     /// The scheduled run for the given inputs, co-simulating only on a
-    /// cache miss. `plan: None` is the nominal [`run_scheduled`];
-    /// `Some(plan)` is [`run_scheduled_faulty`] (the plan is cloned only
-    /// when a simulation actually runs). `schedule_digest` must be the
-    /// adequation digest of the inputs that produced `schedule`.
+    /// cache miss, with its [`scheduled_run_digest`] key, whether *this*
+    /// lookup was answered from the cache, and the wiring/simulation
+    /// wall-clock split of the run (zero on a hit — nothing was
+    /// simulated). `plan: None` is the nominal [`run_scheduled`];
+    /// `Some(plan)` replays the schedule under the plan (see
+    /// [`Activation::scheduled`]; the plan is cloned only when a
+    /// simulation actually runs). `schedule_digest` must be the adequation
+    /// digest of the inputs that produced `schedule`. The hit flag and the
+    /// split are this caller's wall-clock observations, for profiler
+    /// sidecars only.
     ///
     /// # Errors
     ///
-    /// Propagates [`run_scheduled`] errors; failures are not cached.
-    #[allow(clippy::too_many_arguments)]
-    pub fn get_or_run(
-        &self,
-        spec: &LoopSpec,
-        alg: &AlgorithmGraph,
-        io: &IoMap,
-        schedule: &Schedule,
-        arch: &ArchitectureGraph,
-        schedule_digest: u64,
-        plan: Option<&FaultPlan>,
-    ) -> Result<Arc<LoopResult>, CoreError> {
-        self.get_or_run_phased(spec, alg, io, schedule, arch, schedule_digest, plan)
-            .map(|(result, _, _, _)| result)
-    }
-
-    /// Like [`get_or_run`](ScheduledRunCache::get_or_run), also returning
-    /// the [`scheduled_run_digest`] key, whether *this* lookup was
-    /// answered from the cache, and the synthesis/simulation wall-clock
-    /// split of the run (zero on a hit — nothing was simulated). The hit
-    /// flag and the split are this caller's wall-clock observations, for
-    /// profiler sidecars only.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`run_scheduled`] errors; failures are not cached.
+    /// Propagates [`LoopSpec::wire`] and [`WiredLoop::run`] errors;
+    /// failures are not cached.
     #[allow(clippy::too_many_arguments)]
     pub fn get_or_run_phased(
         &self,
@@ -1184,196 +1194,30 @@ impl ScheduledRunCache {
         let key = scheduled_run_digest(spec, schedule_digest, plan);
         let mut phases = CosimPhases::default();
         let (result, hit) = self.get_or_build(key, || {
-            let (result, run_phases) =
-                run_scheduled_phased(spec, alg, io, schedule, arch, plan.cloned())?;
-            phases = run_phases;
+            let t0 = Instant::now();
+            let wired = spec.wire(Activation::scheduled(
+                alg,
+                io,
+                schedule,
+                arch,
+                plan.cloned(),
+            ))?;
+            phases.synthesis_wall_ns = t0.elapsed().as_nanos() as u64;
+            let t1 = Instant::now();
+            let result = wired.run(&mut Collector::noop(), "")?;
+            phases.simulation_wall_ns = t1.elapsed().as_nanos() as u64;
             Ok::<_, CoreError>(result)
         })?;
         Ok((result, key, hit, phases))
     }
 }
 
-/// Simulates the loop with the graph of delays synthesized from
-/// `schedule` (paper Fig. 3): each Sample/Hold and the controller are
-/// re-activated at the distributed implementation's instants.
-///
-/// `io` maps the translated algorithm graph's sensors/actuators to the
-/// loop's inputs/outputs: there must be one sensor per plant state and one
-/// actuator per control.
-///
-/// # Errors
-///
-/// * [`CoreError::InvalidInput`] if `io` does not match the loop shape or
-///   the schedule overruns the period.
-/// * Propagated wiring/simulation errors.
-pub fn run_scheduled(
-    spec: &LoopSpec,
-    alg: &AlgorithmGraph,
-    io: &IoMap,
-    schedule: &Schedule,
-    arch: &ArchitectureGraph,
-) -> Result<LoopResult, CoreError> {
-    run_scheduled_with(spec, alg, io, schedule, arch, |_| {
-        Ok(DelayGraphConfig::default())
-    })
-}
-
-/// Like [`run_scheduled`], but replays the schedule under a
-/// [`FaultPlan`]: lost frames stretch or drop communication slots, dead
-/// processors silence their operations, and every synchronization gains a
-/// timeout arm so the loop degrades (Sample/Holds keep stale values, the
-/// existing overrun accounting counts the damage) instead of
-/// deadlocking.
-///
-/// A [trivial](FaultPlan::is_trivial) plan takes the exact
-/// [`run_scheduled`] code path — same blocks, same wiring, bit-identical
-/// results — so a zero-rate fault sweep is guaranteed to reproduce the
-/// fault-free baseline.
-///
-/// Use [`LoopResult::latency_report_lenient`] on the result: forced
-/// rendezvous can push sampling past the period boundary, which the
-/// strict report rejects.
-///
-/// # Errors
-///
-/// Same as [`run_scheduled`].
-pub fn run_scheduled_faulty(
-    spec: &LoopSpec,
-    alg: &AlgorithmGraph,
-    io: &IoMap,
-    schedule: &Schedule,
-    arch: &ArchitectureGraph,
-    plan: FaultPlan,
-) -> Result<LoopResult, CoreError> {
-    run_scheduled_with(spec, alg, io, schedule, arch, move |_| {
-        Ok(DelayGraphConfig {
-            faults: Some(plan),
-            ..DelayGraphConfig::default()
-        })
-    })
-}
-
-/// Like [`run_scheduled`], but lets the caller extend the model (e.g. add
-/// the block producing a condition variable's value) and supply the
-/// [`DelayGraphConfig`] — required when the algorithm graph contains
-/// conditioned operations (paper §3.2.2).
-///
-/// # Errors
-///
-/// Same as [`run_scheduled`], plus whatever `configure` returns.
-pub fn run_scheduled_with(
-    spec: &LoopSpec,
-    alg: &AlgorithmGraph,
-    io: &IoMap,
-    schedule: &Schedule,
-    arch: &ArchitectureGraph,
-    configure: impl FnOnce(&mut Model) -> Result<DelayGraphConfig, CoreError>,
-) -> Result<LoopResult, CoreError> {
-    let lm = wire_scheduled(spec, alg, io, schedule, arch, configure)?;
-    finish(spec, lm)
-}
-
-/// Like [`run_scheduled`] / [`run_scheduled_faulty`] (chosen by whether
-/// `faults` is given), additionally measuring the wall-clock split
-/// between delay-graph synthesis and the simulation itself for the fleet
-/// profiler. The returned [`LoopResult`] is byte-identical to the
-/// unphased drivers' — the measurement only reads the monotonic clock
-/// around the two stages.
-///
-/// # Errors
-///
-/// Same as [`run_scheduled`].
-pub fn run_scheduled_phased(
-    spec: &LoopSpec,
-    alg: &AlgorithmGraph,
-    io: &IoMap,
-    schedule: &Schedule,
-    arch: &ArchitectureGraph,
-    faults: Option<FaultPlan>,
-) -> Result<(LoopResult, CosimPhases), CoreError> {
-    let t0 = std::time::Instant::now();
-    let lm = wire_scheduled(spec, alg, io, schedule, arch, move |_| {
-        Ok(DelayGraphConfig {
-            faults,
-            ..DelayGraphConfig::default()
-        })
-    })?;
-    let synthesis_wall_ns = t0.elapsed().as_nanos() as u64;
-    let t1 = std::time::Instant::now();
-    let result = finish(spec, lm)?;
-    let simulation_wall_ns = t1.elapsed().as_nanos() as u64;
-    Ok((
-        result,
-        CosimPhases {
-            synthesis_wall_ns,
-            simulation_wall_ns,
-        },
-    ))
-}
-
-/// Assembles the loop model and synthesizes the graph of delays from the
-/// schedule — everything up to (but excluding) the simulation itself, so
-/// the lifecycle can time delay-graph synthesis and co-simulation as
-/// separate phases.
-pub(crate) fn wire_scheduled(
-    spec: &LoopSpec,
-    alg: &AlgorithmGraph,
-    io: &IoMap,
-    schedule: &Schedule,
-    arch: &ArchitectureGraph,
-    configure: impl FnOnce(&mut Model) -> Result<DelayGraphConfig, CoreError>,
-) -> Result<LoopModel, CoreError> {
-    let n = spec.plant.state_dim();
-    if io.sensors.len() != n {
-        return Err(CoreError::InvalidInput {
-            reason: format!(
-                "law has {} sensors but the plant has {n} sampled states",
-                io.sensors.len()
-            ),
-        });
-    }
-    if io.actuators.len() != spec.n_controls {
-        return Err(CoreError::InvalidInput {
-            reason: format!(
-                "law has {} actuators but the loop has {} controls",
-                io.actuators.len(),
-                spec.n_controls
-            ),
-        });
-    }
-    let mut lm = assemble(spec)?;
-    let period = TimeNs::from_secs_f64(spec.ts);
-    let config = configure(&mut lm.model)?;
-    let dg = delays::build(&mut lm.model, alg, arch, schedule, period, config)?;
-    for (j, &op) in io.sensors.iter().enumerate() {
-        dg.activate_on_completion(&mut lm.model, op, lm.sample_sh[j], 0)?;
-    }
-    let compute = *io.stages.last().ok_or_else(|| CoreError::InvalidInput {
-        reason: "law has no computation stage".into(),
-    })?;
-    dg.activate_on_completion(&mut lm.model, compute, lm.controller, 0)?;
-    for (j, &op) in io.actuators.iter().enumerate() {
-        dg.activate_on_completion(&mut lm.model, op, lm.act_sh[j], 0)?;
-    }
-    Ok(lm)
-}
-
-/// Finishes a wired loop with telemetry (used by the lifecycle to wrap
-/// the simulation in its own span). `track_prefix` namespaces the latency
-/// counter tracks when several runs share one collector.
-pub(crate) fn finish_loop<S: Sink>(
-    spec: &LoopSpec,
-    lm: LoopModel,
-    track_prefix: &str,
-    tel: &mut Collector<S>,
-) -> Result<LoopResult, CoreError> {
-    finish_traced(&CostSpec::of(spec), lm, track_prefix, tel)
-}
-
 /// Emits the schedule's per-period timeline ([`Event::Slice`] per
 /// operation and communication, one replica per period over `horizon`)
-/// into the collector. A no-op for a disabled collector.
-pub(crate) fn emit_schedule_timeline<S: Sink>(
+/// into the collector. A no-op for a disabled collector. Call it between
+/// [`LoopSpec::wire`] and [`WiredLoop::run`] to record the schedule
+/// beside the run's latency counters.
+pub fn emit_schedule_timeline<S: Sink>(
     tel: &mut Collector<S>,
     schedule: &Schedule,
     alg: &AlgorithmGraph,
@@ -1389,54 +1233,6 @@ pub(crate) fn emit_schedule_timeline<S: Sink>(
     for ev in timeline::trace_events(schedule, alg, arch, period, periods) {
         tel.emit(|| ev);
     }
-}
-
-/// Like [`run_ideal`], but streams telemetry into `tel`: one latency
-/// [`Event::Counter`] per I/O per period (simulated time), on
-/// `ideal:Ls[j]` / `ideal:La[j]` tracks so an ideal run can share a
-/// collector with a scheduled run without mixing tracks. With a
-/// [`ecl_telemetry::NoopSink`] collector this is exactly [`run_ideal`].
-///
-/// # Errors
-///
-/// Same as [`run_ideal`].
-pub fn run_ideal_traced<S: Sink>(
-    spec: &LoopSpec,
-    tel: &mut Collector<S>,
-) -> Result<LoopResult, CoreError> {
-    let mut lm = assemble(spec)?;
-    for &sh in &lm.sample_sh.clone() {
-        lm.model.connect_event(lm.base_clock, 0, sh, 0)?;
-    }
-    lm.model.connect_event(lm.base_clock, 0, lm.controller, 0)?;
-    for &sh in &lm.act_sh.clone() {
-        lm.model.connect_event(lm.base_clock, 0, sh, 0)?;
-    }
-    finish_traced(&CostSpec::of(spec), lm, "ideal:", tel)
-}
-
-/// Like [`run_scheduled`], but streams telemetry into `tel`: the
-/// schedule's per-period timeline as [`Event::Slice`]s on `proc:*` /
-/// `bus:*` tracks, then one latency [`Event::Counter`] per I/O per
-/// period. All events carry simulated time, so two identical runs record
-/// byte-identical streams.
-///
-/// # Errors
-///
-/// Same as [`run_scheduled`].
-pub fn run_scheduled_traced<S: Sink>(
-    spec: &LoopSpec,
-    alg: &AlgorithmGraph,
-    io: &IoMap,
-    schedule: &Schedule,
-    arch: &ArchitectureGraph,
-    tel: &mut Collector<S>,
-) -> Result<LoopResult, CoreError> {
-    let lm = wire_scheduled(spec, alg, io, schedule, arch, |_| {
-        Ok(DelayGraphConfig::default())
-    })?;
-    emit_schedule_timeline(tel, schedule, alg, arch, spec.ts, spec.horizon);
-    finish_traced(&CostSpec::of(spec), lm, "", tel)
 }
 
 #[cfg(test)]
@@ -1774,7 +1570,17 @@ mod tests {
         )
         .unwrap();
         assert!(plan.is_trivial());
-        let faulty = run_scheduled_faulty(&spec, &alg, &io, &schedule, &arch, plan).unwrap();
+        let faulty = spec
+            .wire(Activation::scheduled(
+                &alg,
+                &io,
+                &schedule,
+                &arch,
+                Some(plan),
+            ))
+            .unwrap()
+            .run(&mut Collector::noop(), "")
+            .unwrap();
         // Bit-identical: same instants, same cost, same engine counters.
         assert_eq!(baseline.sample_instants, faulty.sample_instants);
         assert_eq!(baseline.actuation_instants, faulty.actuation_instants);
@@ -1802,7 +1608,17 @@ mod tests {
         )
         .unwrap();
         assert!(!plan.is_trivial());
-        let faulty = run_scheduled_faulty(&spec, &alg, &io, &schedule, &arch, plan).unwrap();
+        let faulty = spec
+            .wire(Activation::scheduled(
+                &alg,
+                &io,
+                &schedule,
+                &arch,
+                Some(plan),
+            ))
+            .unwrap()
+            .run(&mut Collector::noop(), "")
+            .unwrap();
         // The loop still actuates once per period — forced fires land a
         // period late, so the last one completes past the horizon.
         let baseline_n = baseline.actuation_instants[0].len();
@@ -1825,9 +1641,9 @@ mod tests {
     }
 
     /// A memoized scheduled run is bit-identical to a fresh
-    /// [`run_scheduled`], and the faulty variant to a fresh
-    /// [`run_scheduled_faulty`]; nominal and faulty runs of the same
-    /// deployment occupy distinct slots.
+    /// [`run_scheduled`], and the faulty variant to a fresh faulty run;
+    /// nominal and faulty runs of the same deployment occupy distinct
+    /// slots.
     #[test]
     fn scheduled_memo_equals_fresh_run_nominal_and_faulty() {
         use crate::faults::{FaultConfig, FaultPlan};
@@ -1836,11 +1652,11 @@ mod tests {
         let cache = ScheduledRunCache::new();
         assert!(cache.is_empty());
 
-        let memo = cache
-            .get_or_run(&spec, &alg, &io, &schedule, &arch, sched_digest, None)
+        let (memo, ..) = cache
+            .get_or_run_phased(&spec, &alg, &io, &schedule, &arch, sched_digest, None)
             .unwrap();
-        let again = cache
-            .get_or_run(&spec, &alg, &io, &schedule, &arch, sched_digest, None)
+        let (again, ..) = cache
+            .get_or_run_phased(&spec, &alg, &io, &schedule, &arch, sched_digest, None)
             .unwrap();
         assert!(Arc::ptr_eq(&memo, &again));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
@@ -1867,8 +1683,8 @@ mod tests {
         )
         .unwrap();
         assert!(!plan.is_trivial());
-        let faulty_memo = cache
-            .get_or_run(
+        let (faulty_memo, ..) = cache
+            .get_or_run_phased(
                 &spec,
                 &alg,
                 &io,
@@ -1879,8 +1695,17 @@ mod tests {
             )
             .unwrap();
         assert_eq!(cache.len(), 2);
-        let faulty_fresh =
-            run_scheduled_faulty(&spec, &alg, &io, &schedule, &arch, plan.clone()).unwrap();
+        let faulty_fresh = spec
+            .wire(Activation::scheduled(
+                &alg,
+                &io,
+                &schedule,
+                &arch,
+                Some(plan.clone()),
+            ))
+            .unwrap()
+            .run(&mut Collector::noop(), "")
+            .unwrap();
         assert_eq!(faulty_memo.cost.to_bits(), faulty_fresh.cost.to_bits());
         assert_eq!(faulty_memo.sample_instants, faulty_fresh.sample_instants);
         assert_eq!(
@@ -1892,14 +1717,14 @@ mod tests {
         // A different schedule digest must not alias, even with an
         // identical spec and plan.
         cache
-            .get_or_run(&spec, &alg, &io, &schedule, &arch, sched_digest + 1, None)
+            .get_or_run_phased(&spec, &alg, &io, &schedule, &arch, sched_digest + 1, None)
             .unwrap();
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.races(), 0, "serial lookups cannot double-compute");
     }
 
     /// The memo key separates nominal from faulty even when the plan is
-    /// trivial: `run_scheduled_faulty` with a trivial plan is
+    /// trivial: a faulty run with a trivial plan is
     /// bit-identical to `run_scheduled`, but the key space must not rely
     /// on that — a presence marker keeps the mapping injective.
     #[test]
@@ -1942,7 +1767,11 @@ mod tests {
 
         let run_once = || {
             let mut tel = Collector::new(RecordingSink::default());
-            let r = run_scheduled_traced(&spec, &alg, &io, &schedule, &arch, &mut tel).unwrap();
+            let wired = spec
+                .wire(Activation::scheduled(&alg, &io, &schedule, &arch, None))
+                .unwrap();
+            emit_schedule_timeline(&mut tel, &schedule, &alg, &arch, spec.ts, spec.horizon);
+            let r = wired.run(&mut tel, "").unwrap();
             (r, tel.into_sink())
         };
         let (r, sink) = run_once();
@@ -2024,6 +1853,13 @@ mod tests {
         let mut spec = dc_motor_spec();
         spec.input_memory = Some(Mat::zeros(2, 2));
         assert!(run_ideal(&spec).is_err());
+        // Off the nanosecond clock: a typed error, not a panic in wiring.
+        let mut spec = dc_motor_spec();
+        spec.ts = f64::INFINITY;
+        assert!(run_ideal(&spec).is_err());
+        let mut spec = dc_motor_spec();
+        spec.horizon = 1e30;
+        assert!(run_ideal(&spec).is_err());
     }
 
     #[test]
@@ -2099,7 +1935,11 @@ mod tests {
     #[test]
     fn lqg_output_feedback_regulates() {
         let spec = lqg_spec();
-        let r = run_output_ideal(&spec).unwrap();
+        let r = spec
+            .wire(Activation::Ideal)
+            .unwrap()
+            .run(&mut Collector::noop(), "")
+            .unwrap();
         let y = r.result.signal("x0").unwrap();
         assert!(y.values()[0] > 0.9);
         assert!(
@@ -2116,7 +1956,11 @@ mod tests {
     #[test]
     fn lqg_scheduled_shows_latency_degradation() {
         let spec = lqg_spec();
-        let ideal = run_output_ideal(&spec).unwrap();
+        let ideal = spec
+            .wire(Activation::Ideal)
+            .unwrap()
+            .run(&mut Collector::noop(), "")
+            .unwrap();
         // One sensor (the measured speed), one actuator, over the split
         // 2-ECU target with heavy latency.
         let law = ControlLawSpec::monolithic("lqg", 1, 1);
@@ -2132,7 +1976,11 @@ mod tests {
         }
         db.forbid(io.stages[0], p0);
         let schedule = adequation(&alg, &arch, &db, AdequationOptions::default()).unwrap();
-        let run = run_output_scheduled(&spec, &alg, &io, &schedule, &arch).unwrap();
+        let run = spec
+            .wire(Activation::scheduled(&alg, &io, &schedule, &arch, None))
+            .unwrap()
+            .run(&mut Collector::noop(), "")
+            .unwrap();
         assert!(
             run.cost > ideal.cost,
             "ideal {} vs implemented {}",
@@ -2148,13 +1996,13 @@ mod tests {
         let good = lqg_spec();
         let mut bad = good.clone();
         bad.n_controls = 2;
-        assert!(run_output_ideal(&bad).is_err());
+        assert!(bad.wire(Activation::Ideal).is_err());
         let mut bad = good.clone();
         bad.x0 = vec![0.0];
-        assert!(run_output_ideal(&bad).is_err());
+        assert!(bad.wire(Activation::Ideal).is_err());
         let mut bad = good.clone();
         bad.ts = good.ts * 2.0; // disagrees with the compensator period
-        assert!(run_output_ideal(&bad).is_err());
+        assert!(bad.wire(Activation::Ideal).is_err());
         // Sensor-count mismatch in the scheduled variant.
         let law = ControlLawSpec::monolithic("lqg", 2, 1); // 2 sensors != 1 output
         let (alg, io) = law.to_algorithm().unwrap();
@@ -2162,6 +2010,8 @@ mod tests {
         arch.add_processor("ecu0", "arm");
         let db = uniform_timing(&alg, &io, us(10), us(10));
         let schedule = adequation(&alg, &arch, &db, AdequationOptions::default()).unwrap();
-        assert!(run_output_scheduled(&good, &alg, &io, &schedule, &arch).is_err());
+        assert!(good
+            .wire(Activation::scheduled(&alg, &io, &schedule, &arch, None))
+            .is_err());
     }
 }

@@ -15,8 +15,9 @@
 //!    the real implementation would;
 //! 4. [`latency`] — extracts the sampling latencies `Ls_j(k)` (eq. 1) and
 //!    actuation latencies `La_j(k)` (eq. 2) from the co-simulation trace;
-//! 5. [`cosim`] — one-call drivers for the ideal (stroboscopic) and
-//!    implemented (graph-of-delays) closed loops;
+//! 5. [`cosim`] — the one co-simulation path: a loop spec is wired under
+//!    an ideal (stroboscopic) or scheduled (graph-of-delays) activation,
+//!    then run;
 //! 6. [`lifecycle`] — the full design lifecycle: design → adequation →
 //!    co-simulate → calibrate (delay-aware LQR redesign) → generate
 //!    executives;
@@ -49,6 +50,10 @@
 //! };
 //! let ideal = cosim::run_ideal(&spec)?;
 //! assert!(ideal.cost.is_finite() && ideal.cost > 0.0);
+//! // `run_ideal` is shorthand for the two stages of the one path:
+//! let wired = spec.wire(cosim::Activation::Ideal)?;
+//! let again = wired.run(&mut ecl_telemetry::Collector::noop(), "")?;
+//! assert_eq!(again.cost.to_bits(), ideal.cost.to_bits());
 //! # Ok(())
 //! # }
 //! ```

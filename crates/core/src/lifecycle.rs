@@ -5,26 +5,30 @@
 //! shorten:
 //!
 //! 1. **Design** — LQR synthesis on the ideally sampled plant, validated
-//!    under the stroboscopic model ([`cosim::run_ideal`]);
+//!    under the stroboscopic model ([`cosim::Activation::Ideal`]);
 //! 2. **Adequation** — the control law is translated to an algorithm
 //!    graph and distributed over the architecture by
 //!    [`ecl_aaa::adequation`];
 //! 3. **Co-simulation** — the graph of delays replays the schedule's
 //!    temporal behaviour against the continuous plant
-//!    ([`cosim::run_scheduled`]), measuring the latency report and the
-//!    control-performance degradation;
+//!    ([`cosim::Activation::scheduled`]), measuring the latency report
+//!    and the control-performance degradation;
 //! 4. **Calibration** — the measured mean actuation latency feeds a
 //!    delay-aware redesign ([`ecl_control::c2d_zoh_delayed`] +
 //!    state-augmented LQR), and the loop is co-simulated again;
 //! 5. **Code generation** — the deadlock-free distributed executives are
 //!    emitted ([`ecl_aaa::codegen`]).
+//!
+//! All three simulations take the one co-simulation path,
+//! [`LoopSpec::wire`] then [`cosim::WiredLoop::run`], and differ only in
+//! their [`cosim::Activation`] and gains.
 
 use ecl_aaa::{adequation, codegen, AdequationOptions, ArchitectureGraph, Schedule, TimingDb};
 use ecl_control::{c2d_zoh, c2d_zoh_delayed, dlqr, StateSpace};
 use ecl_linalg::Mat;
 use ecl_telemetry::{Collector, Sink};
 
-use crate::cosim::{self, DisturbanceKind, LoopResult, LoopSpec};
+use crate::cosim::{self, Activation, DisturbanceKind, LoopResult, LoopSpec};
 use crate::latency::LatencyReport;
 use crate::translate::ControlLawSpec;
 use crate::CoreError;
@@ -113,10 +117,12 @@ pub fn run(inputs: &LifecycleInputs) -> Result<LifecycleReport, CoreError> {
 ///
 /// Each phase is timed as a wall-clock span (`design`, `translate`,
 /// `adequation`, `delay-graph synthesis`, `co-simulation`, `calibration`,
-/// `codegen`); the implemented co-simulation additionally records the
-/// schedule timeline and per-period latency counters in simulated time
-/// (the ideal and calibrated runs use `ideal:`/`cal:`-prefixed tracks so
-/// the three simulations never share a track).
+/// `codegen`); the implemented loop's two co-simulation stages,
+/// [`LoopSpec::wire`] and [`cosim::WiredLoop::run`], get one span each.
+/// The implemented co-simulation additionally records the schedule
+/// timeline and per-period latency counters in simulated time (the ideal
+/// and calibrated runs use `ideal:`/`cal:`-prefixed tracks so the three
+/// simulations never share a track).
 /// With a [`ecl_telemetry::NoopSink`] collector every instrumentation
 /// site compiles to nothing and this is exactly [`run`].
 ///
@@ -153,7 +159,7 @@ pub fn run_with<S: Sink>(
             r_weight: inputs.r_weight,
             disturbance: inputs.disturbance,
         };
-        let ideal = cosim::run_ideal_traced(&spec, tel)?;
+        let ideal = spec.wire(Activation::Ideal)?.run(tel, "ideal:")?;
         Ok((spec, ideal))
     })?;
 
@@ -166,14 +172,11 @@ pub fn run_with<S: Sink>(
     })?;
 
     // --- step 3: co-simulation of the implementation ---
-    let lm = tel.span("delay-graph synthesis", |_| {
-        cosim::wire_scheduled(&spec, &alg, &io, &schedule, &inputs.arch, |_| {
-            Ok(crate::delays::DelayGraphConfig::default())
-        })
-    })?;
+    let scheduled = || Activation::scheduled(&alg, &io, &schedule, &inputs.arch, None);
+    let wired = tel.span("delay-graph synthesis", |_| spec.wire(scheduled()))?;
     let implemented = tel.span("co-simulation", |tel| {
         cosim::emit_schedule_timeline(tel, &schedule, &alg, &inputs.arch, spec.ts, spec.horizon);
-        cosim::finish_loop(&spec, lm, "", tel)
+        wired.run(tel, "")
     })?;
     let latency = implemented.latency_report()?;
 
@@ -193,12 +196,9 @@ pub fn run_with<S: Sink>(
             input_memory: Some(ku),
             ..spec.clone()
         };
-        let lm = cosim::wire_scheduled(&spec_cal, &alg, &io, &schedule, &inputs.arch, |_| {
-            Ok(crate::delays::DelayGraphConfig::default())
-        })?;
         // Distinct track prefix: this second simulation restarts at
         // simulated time 0, and a shared track would regress in the trace.
-        cosim::finish_loop(&spec_cal, lm, "cal:", tel)
+        spec_cal.wire(scheduled())?.run(tel, "cal:")
     })?;
 
     // --- step 5: executive generation ---

@@ -242,8 +242,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidInput`] for an unregistered case; adequation
-    /// failures propagate.
+    /// [`CoreError::InvalidInput`] for an unregistered case or a period
+    /// scale that puts the case's period off the nanosecond clock;
+    /// adequation failures propagate.
     pub fn admission_codes(&self, req: &SweepRequest) -> Result<Vec<String>, CoreError> {
         let deployment =
             self.deployments
@@ -271,7 +272,17 @@ impl Engine {
                 .schedule
                 .get_or_compute_traced(&base.alg, &base.arch, &base.db, options)?;
             for &scale in &req.period_scales {
-                let period = TimeNs::from_secs_f64(deployment.spec.ts * scale);
+                // `validate` accepts any finite positive scale; the case's
+                // own period decides whether the product fits the clock.
+                let period =
+                    TimeNs::checked_from_secs_f64(deployment.spec.ts * scale).ok_or_else(|| {
+                        CoreError::InvalidInput {
+                            reason: format!(
+                            "period scale {scale} puts the {:?} period off the nanosecond clock",
+                            req.case
+                        ),
+                        }
+                    })?;
                 let report = ecl_verify::fault_envelope(
                     &base.alg, &base.arch, &schedule, period, &family, None,
                 );

@@ -14,6 +14,7 @@ use ecl_serve::wire::{
     read_frame, write_frame, ClientMsg, Policy, ResponseSource, ServerMsg, SweepRequest, WireError,
     MAX_FRAME,
 };
+use ecl_serve::{Client, ClientError, Server, ServerConfig};
 
 fn policy() -> impl Strategy<Value = Policy> {
     prop_oneof![Just(Policy::Pressure), Just(Policy::Earliest)]
@@ -274,4 +275,37 @@ fn report_length_mismatch_is_malformed() {
         ServerMsg::decode(&bytes),
         Err(WireError::Malformed { .. })
     ));
+}
+
+/// A request `validate` accepts can still scale the case's period off
+/// the nanosecond clock: admission answers with a typed
+/// `admission_failed` error instead of panicking on the connection
+/// thread, and the daemon answers the next request on the same
+/// connection.
+#[test]
+fn unrepresentable_period_is_a_typed_admission_error() {
+    let huge = SweepRequest {
+        period_scales: vec![1e300],
+        ..SweepRequest::default()
+    };
+    assert!(
+        huge.validate().is_empty(),
+        "finite positive scales validate"
+    );
+    let srv = Server::start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("server start");
+    let mut client = Client::connect(srv.addr()).expect("connect");
+    match client.submit(&huge) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, "admission_failed"),
+        other => panic!("expected a typed admission error, got {other:?}"),
+    }
+    let small = SweepRequest {
+        scenarios: 2,
+        ..SweepRequest::default()
+    };
+    let answered = client.submit(&small).expect("the daemon keeps answering");
+    assert_eq!(answered.deltas.last().map(|d| (d.0, d.1)), Some((2, 2)));
 }

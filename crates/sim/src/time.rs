@@ -61,12 +61,17 @@ impl TimeNs {
     /// (≈ ±292 years).
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite(), "time must be finite, got {s}");
+        TimeNs::checked_from_secs_f64(s)
+            .unwrap_or_else(|| panic!("time {s} s overflows the nanosecond range"))
+    }
+
+    /// Like [`from_secs_f64`](Self::from_secs_f64), but `None` where that
+    /// panics: for a non-finite `s` or one outside the `i64` nanosecond
+    /// range.
+    pub fn checked_from_secs_f64(s: f64) -> Option<Self> {
         let ns = (s * 1e9).round();
-        assert!(
-            ns >= i64::MIN as f64 && ns <= i64::MAX as f64,
-            "time {s} s overflows the nanosecond range"
-        );
-        TimeNs(ns as i64)
+        (ns.is_finite() && ns >= i64::MIN as f64 && ns <= i64::MAX as f64)
+            .then_some(TimeNs(ns as i64))
     }
 
     /// Raw nanosecond count.
@@ -213,6 +218,17 @@ mod tests {
         assert_eq!(TimeNs::from_millis(1), TimeNs::from_micros(1000));
         assert_eq!(TimeNs::from_micros(1), TimeNs::from_nanos(1000));
         assert_eq!(TimeNs::from_secs_f64(0.25), TimeNs::from_millis(250));
+    }
+
+    #[test]
+    fn checked_secs_f64_rejects_what_the_panicking_form_asserts() {
+        assert_eq!(
+            TimeNs::checked_from_secs_f64(0.25),
+            Some(TimeNs::from_millis(250))
+        );
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e30, -1e30] {
+            assert_eq!(TimeNs::checked_from_secs_f64(bad), None, "{bad}");
+        }
     }
 
     #[test]

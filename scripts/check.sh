@@ -34,6 +34,16 @@ for workload in sweep_memo sweep_faults sweep_cold serve_open; do
         --workload "$workload" --seed 1 --seconds 1 --trace 0 >/dev/null
 done
 
+# Clippy compiles the examples but never runs them, and two of them are
+# the only non-test callers of the output-feedback (lqg_over_bus) and
+# conditioned (conditioning_jitter) co-simulation paths. Each runs in
+# about a second and writes no files.
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    echo "== example $name =="
+    cargo run --release --offline -q --example "$name" >/dev/null
+done
+
 # The fleet/histogram/latency tests assert worker-count invariance; run
 # them again single-threaded so a scheduling-dependent bug cannot hide
 # behind the default parallel test harness.

@@ -4,7 +4,8 @@
 //! The build environment has no crates.io access, so the real `criterion`
 //! cannot be compiled. This shim keeps `benches/*.rs` source-compatible
 //! (`Criterion`, `benchmark_group`, `bench_function`, `bench_with_input`,
-//! `BenchmarkId`, `criterion_group!`, `criterion_main!`) and measures with
+//! `BenchmarkId`, `Bencher::iter_batched`, `BatchSize`, `criterion_group!`,
+//! `criterion_main!`) and measures with
 //! `std::time::Instant`: a short warmup, an iteration count calibrated to
 //! the target measurement time, then a handful of samples reported as
 //! min/median/mean per iteration.
@@ -23,6 +24,18 @@ use std::time::{Duration, Instant};
 /// `criterion::black_box`.
 pub fn black_box<T>(value: T) -> T {
     std::hint::black_box(value)
+}
+
+/// How many inputs `iter_batched` sets up at once (accepted for API
+/// compatibility; see [`Bencher::iter_batched`]).
+#[derive(Clone, Copy, Debug)]
+pub enum BatchSize {
+    /// Inputs cheap to hold many of at once.
+    SmallInput,
+    /// Inputs expensive to hold many of at once.
+    LargeInput,
+    /// One input per timed run.
+    PerIteration,
 }
 
 /// A benchmark identifier: a function name plus an optional parameter.
@@ -73,28 +86,53 @@ impl Bencher {
     /// calibrated from it, and the remaining budget is split into up to 8
     /// timed samples.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
+        self.measure(|n| {
+            let start = Instant::now();
+            for _ in 0..n {
+                black_box(routine());
+            }
+            start.elapsed()
+        });
+    }
+
+    /// Like [`iter`](Bencher::iter), but each run consumes a fresh input
+    /// built by `setup`, outside the timed region. The shim prepares one
+    /// timed batch of inputs at a time whatever the [`BatchSize`].
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        self.measure(|n| {
+            let inputs: Vec<I> = (0..n).map(|_| setup()).collect();
+            let start = Instant::now();
+            for input in inputs {
+                black_box(routine(input));
+            }
+            start.elapsed()
+        });
+    }
+
+    /// The calibration and sampling behind [`iter`](Bencher::iter):
+    /// `run(n)` performs `n` iterations and returns their timed share.
+    fn measure(&mut self, mut run: impl FnMut(u64) -> Duration) {
         let warmup_end = Instant::now() + self.budget / 4;
         let mut warm_iters: u64 = 0;
-        let warm_start = Instant::now();
+        let mut warm_elapsed = Duration::ZERO;
         loop {
-            black_box(routine());
+            warm_elapsed += run(1);
             warm_iters += 1;
             if Instant::now() >= warmup_end {
                 break;
             }
         }
-        let warm_elapsed = warm_start.elapsed();
         let est_ns = (warm_elapsed.as_nanos() as f64 / warm_iters as f64).max(1.0);
         let sample_budget_ns = (self.budget.as_nanos() as f64 * 0.75 / 8.0).max(1.0);
         let iters_per_sample = ((sample_budget_ns / est_ns) as u64).max(1);
 
         let mut samples = Vec::with_capacity(8);
         for _ in 0..8 {
-            let start = Instant::now();
-            for _ in 0..iters_per_sample {
-                black_box(routine());
-            }
-            let per_iter = start.elapsed().as_nanos() as f64 / iters_per_sample as f64;
+            let per_iter = run(iters_per_sample).as_nanos() as f64 / iters_per_sample as f64;
             samples.push(per_iter);
         }
         samples.sort_by(|a, b| a.total_cmp(b));

@@ -28,6 +28,7 @@
 //! use eclipse_codesign::control::{c2d_zoh, dlqr, plants};
 //! use eclipse_codesign::core::cosim::{self, DisturbanceKind, LoopSpec};
 //! use eclipse_codesign::linalg::Mat;
+//! use eclipse_codesign::telemetry::Collector;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let plant = plants::dc_motor();
@@ -47,6 +48,10 @@
 //! };
 //! let ideal = cosim::run_ideal(&spec)?;
 //! println!("ideal quadratic cost: {:.4}", ideal.cost);
+//! // The same run as the two stages of the one co-simulation path:
+//! let wired = spec.wire(cosim::Activation::Ideal)?;
+//! let again = wired.run(&mut Collector::noop(), "")?;
+//! assert_eq!(again.cost.to_bits(), ideal.cost.to_bits());
 //! # Ok(())
 //! # }
 //! ```
