@@ -8,7 +8,9 @@
 //! * [`lu::Lu`] — LU factorization with partial pivoting (solve / inverse /
 //!   determinant),
 //! * [`expm`] — the matrix exponential via scaling-and-squaring with a Padé
-//!   approximant (the kernel behind zero-order-hold discretization),
+//!   approximant (the kernel behind zero-order-hold discretization), and
+//!   [`expm_in`], the same kernel on slices over a reusable
+//!   [`ExpmWorkspace`],
 //! * [`solve_discrete_lyapunov`] and [`solve_dare`] — the fixed-point and
 //!   structured-iteration solvers behind LQR synthesis.
 //!
@@ -51,7 +53,7 @@ mod vecops;
 
 pub use eig::{eigenvalues, spectral_radius, Eigenvalue};
 pub use error::LinalgError;
-pub use expm::expm;
+pub use expm::{expm, expm_in, ExpmWorkspace};
 pub use mat::Mat;
 pub use riccati::{solve_dare, solve_discrete_lyapunov, DareOptions};
 pub use vecops::{vec_add, vec_axpy, vec_dot, vec_norm_inf, vec_scale, vec_sub};

@@ -58,42 +58,8 @@ impl Lu {
         }
         let n = a.rows();
         let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
-
-        for k in 0..n {
-            // Select the pivot row: largest |entry| in column k at or below k.
-            let mut p = k;
-            let mut best = lu[(k, k)].abs();
-            for i in (k + 1)..n {
-                let v = lu[(i, k)].abs();
-                if v > best {
-                    best = v;
-                    p = i;
-                }
-            }
-            if best <= PIVOT_TOL {
-                return Err(LinalgError::Singular { pivot: k });
-            }
-            if p != k {
-                for j in 0..n {
-                    let tmp = lu[(k, j)];
-                    lu[(k, j)] = lu[(p, j)];
-                    lu[(p, j)] = tmp;
-                }
-                perm.swap(k, p);
-                sign = -sign;
-            }
-            let pivot = lu[(k, k)];
-            for i in (k + 1)..n {
-                let m = lu[(i, k)] / pivot;
-                lu[(i, k)] = m;
-                for j in (k + 1)..n {
-                    let u = lu[(k, j)];
-                    lu[(i, j)] -= m * u;
-                }
-            }
-        }
+        let mut perm = vec![0; n];
+        let sign = factor_in_place(lu.as_mut_slice(), n, &mut perm)?;
         Ok(Lu { lu, perm, sign })
     }
 
@@ -118,17 +84,7 @@ impl Lu {
         }
         // Apply the permutation, then forward/back substitution.
         let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
-        for i in 0..n {
-            for j in 0..i {
-                x[i] -= self.lu[(i, j)] * x[j];
-            }
-        }
-        for i in (0..n).rev() {
-            for j in (i + 1)..n {
-                x[i] -= self.lu[(i, j)] * x[j];
-            }
-            x[i] /= self.lu[(i, i)];
-        }
+        substitute_in_place(self.lu.as_slice(), n, &mut x);
         Ok(x)
     }
 
@@ -175,6 +131,75 @@ impl Lu {
     /// matrix, but the signature stays fallible for uniformity).
     pub fn inverse(&self) -> Result<Mat, LinalgError> {
         self.solve_mat(&Mat::identity(self.dim()))
+    }
+}
+
+/// Factors the row-major `n × n` matrix in `lu` in place as `P·A = L·U`
+/// (unit-diagonal L below the diagonal, U on and above it), writing the
+/// row permutation into `perm` (`perm[i]` is the original row stored at
+/// position `i`). Returns the permutation's parity. The one factorization
+/// kernel behind [`Lu::factor`] and [`crate::expm_in`].
+///
+/// # Errors
+///
+/// Returns [`LinalgError::Singular`] if a pivot collapses to (near) zero.
+pub(crate) fn factor_in_place(
+    lu: &mut [f64],
+    n: usize,
+    perm: &mut [usize],
+) -> Result<f64, LinalgError> {
+    for (i, p) in perm.iter_mut().enumerate() {
+        *p = i;
+    }
+    let mut sign = 1.0;
+    for k in 0..n {
+        // Select the pivot row: largest |entry| in column k at or below k.
+        let mut p = k;
+        let mut best = lu[k * n + k].abs();
+        for i in (k + 1)..n {
+            let v = lu[i * n + k].abs();
+            if v > best {
+                best = v;
+                p = i;
+            }
+        }
+        if best <= PIVOT_TOL {
+            return Err(LinalgError::Singular { pivot: k });
+        }
+        if p != k {
+            for j in 0..n {
+                lu.swap(k * n + j, p * n + j);
+            }
+            perm.swap(k, p);
+            sign = -sign;
+        }
+        let pivot = lu[k * n + k];
+        for i in (k + 1)..n {
+            let m = lu[i * n + k] / pivot;
+            lu[i * n + k] = m;
+            for j in (k + 1)..n {
+                let u = lu[k * n + j];
+                lu[i * n + j] -= m * u;
+            }
+        }
+    }
+    Ok(sign)
+}
+
+/// Forward then back substitution through packed factors from
+/// [`factor_in_place`]: `x` holds the permuted right-hand side on entry
+/// and the solution on exit.
+pub(crate) fn substitute_in_place(lu: &[f64], n: usize, x: &mut [f64]) {
+    for i in 0..n {
+        for j in 0..i {
+            x[i] -= lu[i * n + j] * x[j];
+        }
+    }
+    for i in (0..n).rev() {
+        for j in (i + 1)..n {
+            x[i] -= lu[i * n + j] * x[j];
+        }
+        x[i] /= lu[i * n + i];
     }
 }
 

@@ -344,17 +344,12 @@ impl Mat {
             });
         }
         let mut out = Mat::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self[(i, k)];
-                if aik == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out[(i, j)] += aik * other[(k, j)];
-                }
-            }
-        }
+        matmul_into(
+            &self.data,
+            &other.data,
+            (self.rows, self.cols, other.cols),
+            &mut out.data,
+        );
         Ok(out)
     }
 
@@ -524,6 +519,26 @@ impl Mat {
             *o = 0.5 * (*o + t);
         }
         out
+    }
+}
+
+/// `out = a·b` for row-major `a` (`rows × inner`) and `b`
+/// (`inner × cols`), with `(rows, inner, cols) = dims`: the one product
+/// kernel behind [`Mat::matmul`] and [`crate::expm_in`]. Zero entries
+/// of `a` are skipped.
+pub(crate) fn matmul_into(a: &[f64], b: &[f64], dims: (usize, usize, usize), out: &mut [f64]) {
+    let (rows, inner, cols) = dims;
+    out[..rows * cols].fill(0.0);
+    for i in 0..rows {
+        for k in 0..inner {
+            let aik = a[i * inner + k];
+            if aik == 0.0 {
+                continue;
+            }
+            for j in 0..cols {
+                out[i * cols + j] += aik * b[k * cols + j];
+            }
+        }
     }
 }
 
