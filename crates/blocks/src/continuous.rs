@@ -37,6 +37,9 @@ impl Block for Integrator {
     fn feedthrough(&self, _input: usize) -> bool {
         false
     }
+    fn linear_dynamics(&self) -> Option<(&[f64], &[f64])> {
+        Some((&[0.0], &[1.0]))
+    }
     fn num_states(&self) -> usize {
         1
     }
@@ -159,6 +162,9 @@ impl Block for StateSpaceCt {
     fn feedthrough(&self, input: usize) -> bool {
         // Direct feedthrough from input j iff column j of D is nonzero.
         (0..self.p).any(|i| self.d[i * self.m + input] != 0.0)
+    }
+    fn linear_dynamics(&self) -> Option<(&[f64], &[f64])> {
+        Some((&self.a, &self.b))
     }
     fn num_states(&self) -> usize {
         self.n
@@ -287,6 +293,36 @@ mod tests {
         // Mid-point check too.
         let expect_mid = 1.0 - (-1.0f64).exp();
         assert!((y.sample(1.0).unwrap() - expect_mid).abs() < 1e-4);
+    }
+
+    /// The `linear_dynamics` contract: `derivatives == A·x + B·u`.
+    #[test]
+    fn linear_dynamics_match_derivatives() {
+        let ss = StateSpaceCt::new(
+            2,
+            2,
+            1,
+            vec![0.5, 1.0, -3.0, -0.25],
+            vec![1.0, -2.0, 0.0, 0.75],
+            vec![1.0, 0.0],
+            vec![0.0, 0.0],
+            vec![0.0, 0.0],
+        )
+        .unwrap();
+        let integ = Integrator::new(0.0);
+        let (x, u) = ([1.25, -0.5], [2.0, -1.5]);
+        for block in [&ss as &dyn Block, &integ] {
+            let (a, b) = block.linear_dynamics().expect("LTI");
+            let (n, m) = (block.num_states(), block.ports().inputs);
+            assert_eq!((a.len(), b.len()), (n * n, n * m));
+            let mut dx = [0.0; 2];
+            block.derivatives(7.0, &x[..n], &u[..m], &mut dx[..n]);
+            for i in 0..n {
+                let ax: f64 = (0..n).map(|j| a[i * n + j] * x[j]).sum();
+                let bu: f64 = (0..m).map(|j| b[i * m + j] * u[j]).sum();
+                assert!((dx[i] - (ax + bu)).abs() < 1e-12);
+            }
+        }
     }
 
     #[test]

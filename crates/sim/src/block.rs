@@ -178,6 +178,22 @@ pub trait Block: Send + 'static {
         true
     }
 
+    /// The block's continuous dynamics as row-major `(A, B)` when they
+    /// are linear and time-invariant: `A` is `n × n` and `B` is `n × m`,
+    /// for `n` = [`Block::num_states`] and `m` regular inputs.
+    ///
+    /// A block returning `Some((a, b))` promises that
+    /// [`Block::derivatives`] writes `dx == A·x + B·u` for every `t`, `x`
+    /// and `u`. When every stateful block of a model returns `Some` and
+    /// the continuous cone is empty (no stateful block's input can move
+    /// between events), the engine advances the state in closed form,
+    /// `x(t + h) = Φ(h)·x + Γ(h)·u`, rather than integrating it. Defaults
+    /// to `None`: the block's state is integrated by the
+    /// [`SimOptions::integrator`](crate::SimOptions::integrator).
+    fn linear_dynamics(&self) -> Option<(&[f64], &[f64])> {
+        None
+    }
+
     /// Number of continuous states integrated by the engine.
     fn num_states(&self) -> usize {
         0
@@ -288,6 +304,7 @@ mod tests {
         let mut b = Nop;
         assert!(b.feedthrough(0));
         assert!(b.depends_on_time());
+        assert!(b.linear_dynamics().is_none());
         assert_eq!(b.num_states(), 0);
         let mut x = [1.0, 2.0];
         b.init_states(&mut x);

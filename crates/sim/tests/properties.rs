@@ -54,6 +54,102 @@ impl Block for Moving {
     }
 }
 
+/// Delegates everything to the wrapped block except `linear_dynamics`,
+/// which keeps its `None` default: the engine must integrate it.
+struct Opaque(Box<dyn Block>);
+
+impl Block for Opaque {
+    fn type_name(&self) -> &'static str {
+        self.0.type_name()
+    }
+    fn ports(&self) -> PortSpec {
+        self.0.ports()
+    }
+    fn feedthrough(&self, input: usize) -> bool {
+        self.0.feedthrough(input)
+    }
+    fn depends_on_time(&self) -> bool {
+        self.0.depends_on_time()
+    }
+    fn num_states(&self) -> usize {
+        self.0.num_states()
+    }
+    fn init_states(&self, x: &mut [f64]) {
+        self.0.init_states(x)
+    }
+    fn derivatives(&self, t: f64, x: &[f64], inputs: &[f64], dx: &mut [f64]) {
+        self.0.derivatives(t, x, inputs, dx)
+    }
+    fn outputs(&mut self, t: f64, x: &[f64], inputs: &[f64], outputs: &mut [f64]) {
+        self.0.outputs(t, x, inputs, outputs)
+    }
+    fn as_any(&self) -> &dyn Any {
+        self.0.as_any()
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self.0.as_any_mut()
+    }
+}
+
+/// One random sampled LTI loop: an `n`-state, `m`-input plant (`C = I`,
+/// `D = 0`) whose inputs are sample-and-holds of a sine plus a gain on
+/// one plant output, clocked off the `record_dt` grid.
+#[derive(Debug, Clone)]
+struct LtiLoop {
+    n: usize,
+    m: usize,
+    a: Vec<f64>,
+    b: Vec<f64>,
+    shift: f64,
+    k: f64,
+    period_us: i64,
+    offset_us: i64,
+}
+
+fn lti_loop(lp: &LtiLoop, opaque: bool) -> Model {
+    let (n, m) = (lp.n, lp.m);
+    let mut a = lp.a[..n * n].to_vec();
+    for i in 0..n {
+        a[i * n + i] += lp.shift;
+    }
+    let mut c = vec![0.0; n * n];
+    for i in 0..n {
+        c[i * n + i] = 1.0;
+    }
+    let x0 = (0..n).map(|i| 0.5 - 0.25 * i as f64).collect();
+    let plant = StateSpaceCt::new(n, m, n, a, lp.b[..n * m].to_vec(), c, vec![0.0; n * m], x0)
+        .expect("valid plant");
+    let mut md = Model::new();
+    let p = if opaque {
+        md.add_block("plant", Opaque(Box::new(plant)))
+    } else {
+        md.add_block("plant", plant)
+    };
+    let clk = add_clock(
+        &mut md,
+        "clk",
+        TimeNs::from_micros(lp.period_us),
+        TimeNs::from_micros(lp.offset_us),
+    )
+    .expect("valid clock");
+    for j in 0..m {
+        let src = md.add_block(format!("src{j}"), Sine::new(1.0, 7.0 + 13.0 * j as f64));
+        let fb = md.add_block(format!("fb{j}"), Gain::new(lp.k));
+        let sum = md.add_block(format!("sum{j}"), Sum::new(vec![1.0, 1.0]).expect("valid"));
+        let sh = md.add_block(format!("sh{j}"), SampleHold::new(0.0));
+        md.connect(p, j % n, fb, 0).expect("wire");
+        md.connect(src, 0, sum, 0).expect("wire");
+        md.connect(fb, 0, sum, 1).expect("wire");
+        md.connect(sum, 0, sh, 0).expect("wire");
+        md.connect(sh, 0, p, j).expect("wire");
+        md.connect_event(clk, 0, sh, 0).expect("wire");
+    }
+    for i in 0..n {
+        md.probe(format!("x{i}"), p, i).expect("probe");
+    }
+    md
+}
+
 /// A one-state plant `ẋ = a·x + u`, `y = x + d·u`.
 fn plant(a: f64, d: f64) -> StateSpaceCt {
     StateSpaceCt::new(1, 1, 1, vec![a], vec![1.0], vec![1.0], vec![d], vec![0.5]).expect("valid")
@@ -281,6 +377,51 @@ proptest! {
         prop_assert!((a[0] - b[0]).abs() < 1e-5, "{} vs {}", a[0], b[0]);
         // Both match the analytic cos(w t).
         prop_assert!((a[0] - (2.0 * omega).cos()).abs() < 1e-4);
+    }
+
+    /// Stepping LTI plants in closed form agrees with tightly toleranced
+    /// RK45 on the same loop with the plant's `linear_dynamics` hidden:
+    /// identical probe instants, values within a relative-plus-absolute
+    /// 1e-9, over two `run` legs.
+    #[test]
+    fn exact_stepping_matches_tight_rk45(
+        n in 1usize..5,
+        m in 1usize..3,
+        a in proptest::collection::vec(-3.0f64..3.0, 16),
+        b in proptest::collection::vec(-2.0f64..2.0, 8),
+        shift in -4.0f64..1.0,
+        k in -2.0f64..2.0,
+        period_us in 300i64..4000,
+        offset_us in 0i64..300,
+    ) {
+        prop_assume!(period_us % 1000 != 0);
+        let lp = LtiLoop { n, m, a, b, shift, k, period_us, offset_us };
+        let run = |opaque: bool, integrator| {
+            let mut sim = Simulator::new(
+                lti_loop(&lp, opaque),
+                SimOptions { integrator, ..SimOptions::default() },
+            )
+            .expect("valid model");
+            sim.run(TimeNs::from_micros(37_300)).expect("runs");
+            sim.run(TimeNs::from_millis(80)).expect("runs");
+            (sim.result().clone(), sim.stats().clone())
+        };
+        let (exact, _) = run(false, Integrator::default());
+        let (rk, rk_stats) = run(
+            true,
+            Integrator::Rk45 { rtol: 1e-12, atol: 1e-14, h_max: 0.01 },
+        );
+        prop_assert!(rk_stats.ode.rhs_evals > 0);
+        prop_assert_eq!(exact.event_log(), rk.event_log());
+        for ((name, e), (_, r)) in exact.signals().zip(rk.signals()) {
+            prop_assert_eq!(e.times(), r.times(), "{}", name);
+            for (&ev, &rv) in e.values().iter().zip(r.values()) {
+                prop_assert!(
+                    (ev - rv).abs() <= 1e-9 * (1.0 + rv.abs()),
+                    "{name}: exact {ev} vs rk45 {rv} ({lp:?})"
+                );
+            }
+        }
     }
 
     /// `ecl-blocks`' `depends_on_time` overrides are sound: freezing the
