@@ -297,6 +297,8 @@ impl LoopResult {
             counter("ode_steps_accepted", self.stats.ode.steps_accepted),
             counter("ode_steps_rejected", self.stats.ode.steps_rejected),
             counter("ode_rhs_evals", self.stats.ode.rhs_evals),
+            counter("exact_chunks", self.stats.exact_chunks),
+            counter("discretizations", self.stats.discretizations),
         ];
         for (block, count) in &self.activity {
             events.push(Event::Counter {
@@ -344,6 +346,8 @@ impl LoopResult {
         w.put_u64(self.stats.ode.steps_accepted);
         w.put_u64(self.stats.ode.steps_rejected);
         w.put_u64(self.stats.ode.rhs_evals);
+        w.put_u64(self.stats.exact_chunks);
+        w.put_u64(self.stats.discretizations);
         let put_hists = |w: &mut ByteWriter, hists: &[Histogram]| {
             w.put_seq_len(hists.len());
             for h in hists {
@@ -417,6 +421,8 @@ impl LoopResult {
         stats.ode.steps_accepted = r.get_u64()?;
         stats.ode.steps_rejected = r.get_u64()?;
         stats.ode.rhs_evals = r.get_u64()?;
+        stats.exact_chunks = r.get_u64()?;
+        stats.discretizations = r.get_u64()?;
         let get_hists = |r: &mut ByteReader<'_>| -> Result<Vec<Histogram>, CodecError> {
             let n = r.get_seq_len()?;
             let mut hists = Vec::with_capacity(n);
@@ -452,7 +458,8 @@ impl LoopResult {
 /// Magic tag of the [`LoopResult::to_metric_bytes`] layout.
 const LOOP_RESULT_MAGIC: &[u8] = b"ECLR";
 /// Version of the [`LoopResult::to_metric_bytes`] layout; bump on change.
-const LOOP_RESULT_VERSION: u32 = 1;
+/// Version 2 adds the closed-form stepping counters.
+const LOOP_RESULT_VERSION: u32 = 2;
 
 /// Wall-clock split of one scheduled run, measured around
 /// [`LoopSpec::wire`] and [`WiredLoop::run`] by
@@ -1826,7 +1833,7 @@ mod tests {
 
         // Hot-loop counters and activity are populated.
         assert!(r.stats.events_delivered > 0);
-        assert!(r.stats.ode.steps_accepted > 0);
+        assert!(r.stats.exact_chunks > 0);
         assert!(!r.activity.is_empty());
         assert!(r.activity.windows(2).all(|w| w[0].1 >= w[1].1));
 

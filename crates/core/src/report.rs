@@ -71,13 +71,16 @@ pub fn to_markdown(
     let es = &report.implemented.stats;
     s.push_str(&format!(
         "\nEngine counters: {} event instants, {} deliveries, calendar peak {}, \
-         {} ODE steps ({} rejected), {} RHS evaluations.\n",
+         {} ODE steps ({} rejected), {} RHS evaluations, {} closed-form chunks \
+         ({} discretizations).\n",
         es.event_instants,
         es.events_delivered,
         es.calendar_peak,
         es.ode.steps_accepted,
         es.ode.steps_rejected,
-        es.ode.rhs_evals
+        es.ode.rhs_evals,
+        es.exact_chunks,
+        es.discretizations
     ));
 
     s.push_str("\n## Static schedule\n\n```text\n");

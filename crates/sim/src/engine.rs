@@ -4,6 +4,7 @@
 use crate::block::{EventActions, EventCtx};
 use crate::error::SimError;
 use crate::event::EventCalendar;
+use crate::exact::ExactStepper;
 use crate::model::{BlockId, Entry, Model};
 use crate::ode::{self, Integrator, OdeRhs};
 use crate::stats::EngineStats;
@@ -13,7 +14,12 @@ use crate::trace::{EventRecord, Signal, SimResult};
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimOptions {
-    /// ODE method used between event instants.
+    /// ODE method used between event instants, for models the engine
+    /// cannot advance in closed form: those whose continuous cone holds
+    /// a block (a time-reading source, say) or with a stateful block that
+    /// declares no [linear dynamics](crate::Block::linear_dynamics).
+    /// When every stateful block is LTI with frozen inputs, each chunk
+    /// is stepped exactly and this setting is not used.
     pub integrator: Integrator,
     /// Probe recording resolution (seconds) for continuous spans. Probes
     /// are additionally recorded at every event instant.
@@ -63,6 +69,9 @@ pub struct Simulator {
     /// Integrator stage buffers, sized for `x` (growth bumps
     /// `EngineStats::hot_allocs`).
     ode_ws: ode::Workspace,
+    /// Closed-form stepping of the stateful blocks, when the cone is
+    /// empty and every one of them is LTI; `None` integrates instead.
+    exact: Option<ExactStepper>,
     calendar: EventCalendar,
     now: TimeNs,
     started: bool,
@@ -235,11 +244,18 @@ impl Simulator {
                 }
             }
         }
-        let cone = eval_order
+        let cone: Vec<usize> = eval_order
             .iter()
             .copied()
             .filter(|&b| read[b] && moving[b])
             .collect();
+        // With an empty cone every stateful block's inputs are frozen
+        // between events, so LTI blocks can be stepped in closed form.
+        let exact = if cone.is_empty() {
+            ExactStepper::plan(es, &stateful, &state_off, &in_off)?
+        } else {
+            None
+        };
 
         // Event routing table.
         let mut evt_routes: Vec<Vec<Vec<(usize, usize)>>> = es
@@ -292,6 +308,7 @@ impl Simulator {
             probe_src,
             x,
             ode_ws: ode::Workspace::new(ns),
+            exact,
             calendar: EventCalendar::new(),
             now: TimeNs::ZERO,
             started: false,
@@ -363,8 +380,12 @@ impl Simulator {
             self.record_probes();
         } else {
             // `model_mut` may have retuned a block since the last committed
-            // pass; the right-hand side reads frozen outputs from it.
+            // pass; the right-hand side reads frozen outputs from it, and
+            // the closed-form stepper's cached (Φ, Γ) its (A, B).
             self.eval_outputs_committed();
+            if let Some(exact) = &mut self.exact {
+                exact.clear();
+            }
         }
 
         loop {
@@ -398,8 +419,10 @@ impl Simulator {
         self.result
     }
 
-    /// Integrates the continuous state from `self.now` to `t_end`,
-    /// recording probes every `record_dt`.
+    /// Advances the continuous state from `self.now` to `t_end`,
+    /// recording probes every `record_dt`: in closed form when the
+    /// stateful blocks are LTI with frozen inputs, else with the
+    /// configured integrator.
     ///
     /// Chunk boundaries are integer-nanosecond instants derived by
     /// repeated addition of the nanosecond-rounded `record_dt` — exact in
@@ -418,24 +441,30 @@ impl Simulator {
         while self.now < t_end {
             let chunk_end = self.now.saturating_add(dt).min(t_end);
             let (a, b) = (self.now.as_secs_f64(), chunk_end.as_secs_f64());
-            let rhs = ConeRhs {
-                entries: &mut self.model.entries,
-                layout: &self.layout,
-                inputs: &mut self.inputs,
-                outputs: &mut self.outputs,
-            };
-            // Tests may swap in the full-pass reference.
-            #[cfg(test)]
-            let rhs = tests::Reference::pick(rhs, self.full_pass);
-            let ode_stats = ode::integrate_in(
-                &mut { rhs },
-                a,
-                b,
-                &mut self.x,
-                self.opts.integrator,
-                &mut self.ode_ws,
-            )?;
-            self.stats.ode.merge(ode_stats);
+            if let Some(exact) = &mut self.exact {
+                let len_ns = (chunk_end - self.now).as_nanos();
+                let (entries, inputs) = (&self.model.entries, &self.inputs);
+                exact.step(entries, inputs, &mut self.x, a, len_ns, &mut self.stats)?;
+            } else {
+                let rhs = ConeRhs {
+                    entries: &mut self.model.entries,
+                    layout: &self.layout,
+                    inputs: &mut self.inputs,
+                    outputs: &mut self.outputs,
+                };
+                // Tests may swap in the full-pass reference.
+                #[cfg(test)]
+                let rhs = tests::Reference::pick(rhs, self.full_pass);
+                let ode_stats = ode::integrate_in(
+                    &mut { rhs },
+                    a,
+                    b,
+                    &mut self.x,
+                    self.opts.integrator,
+                    &mut self.ode_ws,
+                )?;
+                self.stats.ode.merge(ode_stats);
+            }
             self.stats.integration_spans += 1;
             self.now = chunk_end;
             self.eval_outputs_committed();
@@ -826,6 +855,9 @@ mod tests {
         }
         fn init_states(&self, x: &mut [f64]) {
             x[0] = 0.5;
+        }
+        fn linear_dynamics(&self) -> Option<(&[f64], &[f64])> {
+            Some((std::slice::from_ref(&self.a), &[1.0]))
         }
         fn derivatives(&self, _t: f64, x: &[f64], u: &[f64], dx: &mut [f64]) {
             dx[0] = self.a * x[0] + u[0];
@@ -1269,10 +1301,10 @@ mod tests {
     }
 
     /// The hot paths must not allocate in steady state: route walks,
-    /// input staging, the emission queue and the integrator's stage
-    /// buffers all reuse engine-owned buffers, so the regression counter
-    /// stays at zero across a run with thousands of deliveries and
-    /// integration spans.
+    /// input staging, the emission queue, the integrator's stage
+    /// buffers and the closed-form stepper's (Φ, Γ) slots all reuse
+    /// engine-owned buffers, so the regression counter stays at zero
+    /// across a run with thousands of deliveries and integration spans.
     #[test]
     fn hot_path_is_allocation_free() {
         let (mut m, clk) = clocked(1);
@@ -1292,12 +1324,136 @@ mod tests {
         sim.run(TimeNs::from_secs(2)).unwrap();
         assert!(sim.stats().events_delivered > 4000);
         assert!(sim.stats().integration_spans >= 2000);
+        assert!(sim.stats().ode.rhs_evals > 0);
         assert_eq!(
             sim.stats().hot_allocs,
             0,
             "hot path allocated {} times",
             sim.stats().hot_allocs
         );
+
+        // The closed-form path, with more distinct chunk lengths than
+        // cache slots: misses overwrite slots in place, and the run
+        // stays exact.
+        let mut m = Model::new();
+        let gaps = (0..40).map(|k| TimeNs::from_micros(100 + 7 * k)).collect();
+        let jit = m.add_block("jit", Jitter { gaps, next: 0 });
+        m.connect_event(jit, 0, jit, 0).unwrap();
+        let c = m.add_block("c", Const(2.0));
+        let p = m.add_block("p", Lti { a: -3.0, d: 0.0 });
+        let s = m.add_block(
+            "s",
+            Sampler {
+                held: 0.0,
+                samples: vec![],
+            },
+        );
+        m.connect(c, 0, p, 0).unwrap();
+        m.connect(p, 0, s, 0).unwrap();
+        m.connect_event(jit, 0, s, 0).unwrap();
+        m.probe("x", p, 0).unwrap();
+        let mut sim = Simulator::new(m, SimOptions::default()).unwrap();
+        let r = sim.run(TimeNs::from_secs(2)).unwrap();
+        let x_end = r.signal("x").unwrap().last().unwrap().1;
+        let expect = lti_response(-3.0, 0.5, 2.0, 2.0);
+        assert!((x_end - expect).abs() < 1e-12, "{x_end} vs {expect}");
+        let stats = sim.stats();
+        assert!(stats.exact_chunks >= 2000);
+        assert_eq!(stats.exact_chunks, stats.integration_spans);
+        assert_eq!(stats.ode.rhs_evals, 0);
+        assert!(stats.discretizations > 100, "{}", stats.discretizations);
+        assert_eq!(
+            stats.hot_allocs, 0,
+            "closed-form path allocated {} times",
+            stats.hot_allocs
+        );
+    }
+
+    /// Emits on its self-loop after delays cycling through `gaps`: a
+    /// clock whose chunk lengths keep changing.
+    struct Jitter {
+        gaps: Vec<TimeNs>,
+        next: usize,
+    }
+    impl Block for Jitter {
+        fn type_name(&self) -> &'static str {
+            "Jitter"
+        }
+        fn ports(&self) -> PortSpec {
+            PortSpec::event_pipe(1, 1)
+        }
+        fn on_start(&mut self, actions: &mut EventActions) {
+            actions.emit(0, TimeNs::ZERO);
+        }
+        fn on_event(&mut self, _p: usize, _t: TimeNs, ctx: &mut EventCtx<'_>) {
+            ctx.actions.emit(0, self.gaps[self.next]);
+            self.next = (self.next + 1) % self.gaps.len();
+        }
+        impl_block_any!();
+    }
+
+    /// `ẋ = a·x + u` from `x0` under a constant `u`, at `t`.
+    fn lti_response(a: f64, x0: f64, u: f64, t: f64) -> f64 {
+        let xe = -u / a;
+        xe + (x0 - xe) * (a * t).exp()
+    }
+
+    /// A `model_mut` retune of `A` between two `run` legs takes effect:
+    /// the cached (Φ, Γ) of the first leg are not reused.
+    #[test]
+    fn model_mut_retune_invalidates_exact_pairs() {
+        let mut m = Model::new();
+        let c = m.add_block("c", Const(1.0));
+        let p = m.add_block("p", Lti { a: -1.0, d: 0.0 });
+        m.connect(c, 0, p, 0).unwrap();
+        m.probe("x", p, 0).unwrap();
+        let mut sim = Simulator::new(m, SimOptions::default()).unwrap();
+        sim.run(TimeNs::from_millis(500)).unwrap();
+        assert_eq!(sim.stats().discretizations, 1);
+        sim.model_mut().block_as_mut::<Lti>(p).unwrap().a = -3.0;
+        let r = sim.run(TimeNs::from_secs(1)).unwrap();
+        let x_end = r.signal("x").unwrap().last().unwrap().1;
+        let x_mid = lti_response(-1.0, 0.5, 1.0, 0.5);
+        let expect = lti_response(-3.0, x_mid, 1.0, 0.5);
+        assert!((x_end - expect).abs() < 1e-12, "{x_end} vs {expect}");
+        assert_eq!(sim.stats().discretizations, 2);
+        assert_eq!(sim.stats().ode.rhs_evals, 0);
+    }
+
+    /// Linear dynamics whose shape disagrees with the block's state and
+    /// input counts are a model error, not a silent fallback.
+    #[test]
+    fn malformed_linear_dynamics_rejected() {
+        struct Bad;
+        impl Block for Bad {
+            fn type_name(&self) -> &'static str {
+                "Bad"
+            }
+            fn ports(&self) -> PortSpec {
+                PortSpec::siso(1, 1)
+            }
+            fn feedthrough(&self, _i: usize) -> bool {
+                false
+            }
+            fn depends_on_time(&self) -> bool {
+                false
+            }
+            fn num_states(&self) -> usize {
+                2
+            }
+            fn linear_dynamics(&self) -> Option<(&[f64], &[f64])> {
+                Some((&[0.0], &[1.0]))
+            }
+            impl_block_any!();
+        }
+        let mut m = Model::new();
+        let c = m.add_block("c", Const(1.0));
+        let b = m.add_block("b", Bad);
+        m.connect(c, 0, b, 0).unwrap();
+        assert!(matches!(
+            Simulator::new(m, SimOptions::default()),
+            Err(SimError::InvalidModel { .. })
+        ));
     }
 
     #[test]

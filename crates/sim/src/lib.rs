@@ -16,7 +16,9 @@
 //!   to model SynDEx schedules (§3.2.1).
 //! * Continuous blocks expose state derivatives; the engine integrates all
 //!   continuous state jointly between event instants with RK4 or adaptive
-//!   RK45 (Dormand–Prince).
+//!   RK45 (Dormand–Prince). When every stateful block declares linear
+//!   time-invariant dynamics and none of their inputs can move between
+//!   events, it advances them in closed form instead (zero-order hold).
 //! * Simulation time is an integer nanosecond count ([`TimeNs`]), so the
 //!   event calendar is totally ordered with no floating-point drift — event
 //!   instants coming from a static real-time schedule are reproduced
@@ -85,6 +87,7 @@ mod block;
 mod engine;
 mod error;
 mod event;
+mod exact;
 mod model;
 pub mod ode;
 mod stats;

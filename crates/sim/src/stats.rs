@@ -50,11 +50,19 @@ pub struct EngineStats {
     /// Largest same-instant delivery cascade (bounded by
     /// [`crate::SimOptions::cascade_limit`]).
     pub max_cascade: usize,
-    /// Continuous spans handed to the ODE integrator.
+    /// Continuous chunks advanced between events, by the ODE integrator
+    /// or in closed form.
     pub integration_spans: u64,
+    /// Chunks advanced in closed form, `x ← Φ·x + Γ·u`, rather than
+    /// integrated (see [`crate::Block::linear_dynamics`]).
+    pub exact_chunks: u64,
+    /// `(Φ, Γ)` pairs computed for closed-form chunks: one matrix
+    /// exponential per LTI block per cache miss on a chunk length.
+    pub discretizations: u64,
     /// Heap allocations observed on the hot paths — growths of the
     /// engine's reusable scratch buffers (the per-delivery emission
-    /// queue and the integrator's stage buffers). The kernel pre-sizes
+    /// queue, the integrator's stage buffers and the closed-form
+    /// stepper's exponential workspace). The kernel pre-sizes
     /// those buffers, so this stays 0 in steady state; a nonzero delta
     /// between identical runs is an allocation regression and is
     /// asserted against in tests and the E16 gate.

@@ -406,12 +406,16 @@ proptest! {
             sim.run(TimeNs::from_millis(80)).expect("runs");
             (sim.result().clone(), sim.stats().clone())
         };
-        let (exact, _) = run(false, Integrator::default());
+        let (exact, exact_stats) = run(false, Integrator::default());
+        prop_assert!(exact_stats.exact_chunks > 0);
+        prop_assert_eq!(exact_stats.exact_chunks, exact_stats.integration_spans);
+        prop_assert_eq!(exact_stats.ode.rhs_evals, 0);
         let (rk, rk_stats) = run(
             true,
             Integrator::Rk45 { rtol: 1e-12, atol: 1e-14, h_max: 0.01 },
         );
         prop_assert!(rk_stats.ode.rhs_evals > 0);
+        prop_assert_eq!(rk_stats.exact_chunks, 0);
         prop_assert_eq!(exact.event_log(), rk.event_log());
         for ((name, e), (_, r)) in exact.signals().zip(rk.signals()) {
             prop_assert_eq!(e.times(), r.times(), "{}", name);
@@ -455,4 +459,36 @@ proptest! {
         prop_assert!(frozen.is_ok(), "{frozen:?}");
         prop_assert_eq!(frozen, run_bits(build(&dg, true), opts, until));
     }
+}
+
+/// A time-reading source in the cone keeps the plant on the integrator:
+/// a `Sine` wired straight into `StateSpaceCt` is integrated, the same
+/// plant behind a sample-and-hold is stepped in closed form.
+#[test]
+fn time_reading_source_in_the_cone_keeps_rk45() {
+    let run = |held: bool| {
+        let mut m = Model::new();
+        let src = m.add_block("src", Sine::new(1.0, 5.0));
+        let p = m.add_block("plant", plant(-2.0, 0.0));
+        if held {
+            let clk = add_clock(&mut m, "clk", TimeNs::from_micros(700), TimeNs::ZERO)
+                .expect("valid clock");
+            let sh = m.add_block("sh", SampleHold::new(0.0));
+            m.connect(src, 0, sh, 0).expect("wire");
+            m.connect(sh, 0, p, 0).expect("wire");
+            m.connect_event(clk, 0, sh, 0).expect("wire");
+        } else {
+            m.connect(src, 0, p, 0).expect("wire");
+        }
+        let mut sim = Simulator::new(m, SimOptions::default()).expect("valid");
+        sim.run(TimeNs::from_millis(50)).expect("runs");
+        sim.stats().clone()
+    };
+    let direct = run(false);
+    assert!(direct.ode.rhs_evals > 0);
+    assert_eq!(direct.exact_chunks, 0);
+    assert_eq!(direct.discretizations, 0);
+    let held = run(true);
+    assert!(held.exact_chunks > 0);
+    assert_eq!(held.ode.rhs_evals, 0);
 }
