@@ -1,13 +1,17 @@
 //! Golden byte-identity tests for the sim-kernel hot path.
 //!
-//! The allocation-free kernel refactor (scratch buffers, indexed route
-//! iteration, integer-grid probe instants, borrowed `run` results) must
-//! not change a single artifact byte. These tests pin the exp10-style
-//! lifecycle case and the exp12-style fault sweep against golden files
-//! blessed with the *seed* kernel; any behavioural drift in the engine
-//! shows up as a byte diff here. A third case pins every co-simulation
-//! entry point (state and output feedback, ideal and scheduled, faulty,
-//! conditioned, traced) and the lifecycle's telemetry stream.
+//! A kernel refactor must not change a single artifact byte. These tests
+//! pin the exp10-style lifecycle case and the exp12-style fault sweep
+//! against golden files; any behavioural drift in the engine shows up as
+//! a byte diff here. A third case pins every co-simulation entry point
+//! (state and output feedback, ideal and scheduled, faulty, conditioned,
+//! traced) and the lifecycle's telemetry stream.
+//!
+//! The lifecycle and entry-point goldens hold f64 bits of the plant
+//! state, so they were re-blessed once, when the kernel began stepping
+//! LTI plants in closed form instead of integrating them with RK45 (the
+//! largest relative change was 2.5e-8, in the last printed digit). The
+//! fault-sweep golden did not move.
 //!
 //! To re-bless after an intentional change:
 //!
@@ -77,8 +81,9 @@ fn check_golden(name: &str, actual: &str) {
     }
 }
 
-/// Event-path engine counters: the hot-loop refactor must leave every
-/// one unchanged (ODE step counts are pinned by the traces themselves).
+/// Event-path engine counters. How each chunk advanced (ODE steps or
+/// closed-form chunks) is pinned by the metric bytes of the entry-point
+/// golden; the traces pin its outcome.
 fn stats_lines(tag: &str, r: &LoopResult) -> String {
     format!(
         "{tag}: events_delivered={} event_instants={} max_cascade={} calendar_peak={} \
