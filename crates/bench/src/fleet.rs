@@ -1675,9 +1675,14 @@ pub fn run_scenario(
     let bound = sweep_bound_ns(spec, config);
     let variant = resolve_variant(spec, base, config, caches, bound, index, wp)?;
     let seed = variant.scenario.seed;
-    finish_row(
+    let row = finish_row(
         &variant, base, config, caches, bound, index, seed, wp, scratch,
-    )
+    );
+    // Releasing the row's runs (an unshared run frees its whole trace)
+    // closes the metrics that read them. It gets a span of its own:
+    // `Phase::Cosim` keeps one span per scenario.
+    wp.phase(index, Phase::Metrics, |_| drop(variant));
+    row
 }
 
 /// Runs scenario `index`'s work, turning a panic into a typed error for

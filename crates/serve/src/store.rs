@@ -18,8 +18,10 @@ use ecl_telemetry::bytes::{ByteReader, ByteWriter, CodecError};
 
 /// Envelope magic of one cache file.
 const MAGIC: &[u8] = b"ECLC";
-/// Envelope version.
-const VERSION: u8 = 1;
+/// Envelope version. Version 2 marks the payloads of the closed-form
+/// sim kernel: a version-1 file holds runs the RK45 kernel computed, so
+/// it loads as a counted miss and is recomputed.
+const VERSION: u8 = 2;
 
 /// A directory of content-addressed cache kinds.
 #[derive(Debug)]
@@ -33,6 +35,19 @@ fn checksum(payload: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
     h.write(payload);
     h.finish()
+}
+
+/// The bytes of one cache file: `payload` filed under `digest` in a
+/// `version` envelope.
+fn envelope(version: u8, digest: u64, payload: &[u8]) -> Vec<u8> {
+    let mut w = ByteWriter::with_capacity(payload.len() + 32);
+    w.put_raw(MAGIC);
+    w.put_u8(version);
+    w.put_u64(digest);
+    w.put_seq_len(payload.len());
+    w.put_raw(payload);
+    w.put_u64(checksum(payload));
+    w.into_bytes()
 }
 
 impl DiskStore {
@@ -75,18 +90,11 @@ impl DiskStore {
         let path = self.file_path(kind, digest);
         let dir = path.parent().expect("cache file has a kind directory");
         std::fs::create_dir_all(dir)?;
-        let mut w = ByteWriter::with_capacity(payload.len() + 32);
-        w.put_raw(MAGIC);
-        w.put_u8(VERSION);
-        w.put_u64(digest);
-        w.put_seq_len(payload.len());
-        w.put_raw(payload);
-        w.put_u64(checksum(payload));
         // The temp name embeds the digest, so concurrent saves of
         // *different* keys never collide; same-key racers write
         // identical bytes and the last rename wins harmlessly.
         let tmp = dir.join(format!(".{digest:016x}.tmp"));
-        std::fs::write(&tmp, w.as_bytes())?;
+        std::fs::write(&tmp, envelope(VERSION, digest, payload))?;
         std::fs::rename(&tmp, &path)?;
         Ok(())
     }
@@ -215,6 +223,21 @@ mod tests {
         assert_eq!(store.load("runs", 5), None);
         assert_eq!(store.corrupt_seen(), 2);
         assert!(store.load_all("runs").is_empty());
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn version_1_envelope_is_a_counted_miss() {
+        let store = temp_store("v1");
+        store.save("runs", 3, b"payload").unwrap();
+        assert_eq!(store.load("runs", 3).as_deref(), Some(&b"payload"[..]));
+        // The same payload in an otherwise intact version-1 envelope.
+        let path = store.root().join("runs").join(format!("{:016x}.bin", 3u64));
+        std::fs::write(&path, envelope(1, 3, b"payload")).unwrap();
+        assert_eq!(store.load("runs", 3), None);
+        assert_eq!(store.corrupt_seen(), 1);
+        assert!(store.load_all("runs").is_empty());
+        assert_eq!(store.corrupt_seen(), 2);
         let _ = std::fs::remove_dir_all(store.root());
     }
 }

@@ -159,6 +159,60 @@ fn scheduling_knobs_never_reach_the_report_bytes() {
     assert_eq!(a.payload_digest, b.payload_digest);
 }
 
+/// A store written under envelope version 1 (runs of the RK45-era sim
+/// kernel) is never served: every file is a counted miss, and an engine
+/// over it recomputes the payload byte-equal to a cold engine.
+#[test]
+fn version_1_store_is_recomputed_like_a_cold_engine() {
+    let req = SweepRequest {
+        scenarios: 4,
+        ..request()
+    };
+    let store = TempStore::new("v1");
+    let config = || EngineConfig {
+        workers: 2,
+        store_dir: Some(store.dir.clone()),
+    };
+    let seeded = Engine::new(config()).expect("engine");
+    let cold = seeded.run_job(&req, |_, _, _, _| {}).expect("cold job");
+    drop(seeded);
+
+    // Rewrite every cache file's envelope version byte (after the
+    // 4-byte magic) to 1.
+    let mut files = 0;
+    for kind in std::fs::read_dir(&store.dir).expect("store root") {
+        for file in std::fs::read_dir(kind.expect("kind").path()).expect("kind dir") {
+            let path = file.expect("file").path();
+            let mut bytes = std::fs::read(&path).expect("read");
+            assert_eq!(&bytes[..4], b"ECLC");
+            bytes[4] = 1;
+            std::fs::write(&path, bytes).expect("write");
+            files += 1;
+        }
+    }
+    assert!(
+        files >= 4,
+        "schedules, runs and the response were persisted"
+    );
+
+    let reopened = Engine::new(config()).expect("engine over a v1 store");
+    let again = reopened.run_job(&req, |_, _, _, _| {}).expect("v1 job");
+    assert_eq!(again.source, ResponseSource::Computed);
+    assert!(again.sched_computes > 0, "no v1 schedule was seeded");
+    let stats = reopened.stats();
+    assert_eq!(counter(&stats, "store_corrupt"), files);
+    assert_eq!(counter(&stats, "response_disk_hits"), 0);
+
+    let fresh = Engine::new(EngineConfig {
+        workers: 2,
+        store_dir: None,
+    })
+    .expect("cold engine");
+    let reference = fresh.run_job(&req, |_, _, _, _| {}).expect("cold job");
+    assert_eq!(*again.payload, *reference.payload);
+    assert_eq!(*again.payload, *cold.payload);
+}
+
 /// Without a store, a fresh engine recomputes from scratch — restart
 /// warmth is a property of the disk store, not an accident of state.
 #[test]
