@@ -1,8 +1,10 @@
 //! Criterion benches of the numerical kernels: LU, matrix exponential,
-//! DARE, RK45 integration, and the event-calendar hot path.
+//! the sim kernel's closed-form (Φ, Γ) computation, DARE, RK45
+//! integration, and the event-calendar hot path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ecl_linalg::{expm, lu::Lu, solve_dare, DareOptions, Mat};
+use ecl_control::plants;
+use ecl_linalg::{expm, expm_in, lu::Lu, solve_dare, DareOptions, ExpmWorkspace, Mat};
 use ecl_sim::ode::{integrate, Integrator};
 use ecl_sim::{BlockId, EventCalendar, TimeNs};
 
@@ -44,6 +46,33 @@ fn bench_expm(c: &mut Criterion) {
         });
     }
     g.finish();
+}
+
+/// One (Φ, Γ) computation as the sim kernel makes it on a cache miss:
+/// the exponential of the DC motor's augmented `[[A, B], [0, 0]]·h` for
+/// a 1 ms chunk, over a workspace sized once.
+fn bench_zoh_pair(c: &mut Criterion) {
+    let sys = plants::dc_motor().sys;
+    let (n, m) = (sys.state_dim(), sys.b().cols());
+    let d = n + m;
+    let h = 1e-3;
+    let mut aug = vec![0.0; d * d];
+    for i in 0..n {
+        for j in 0..n {
+            aug[i * d + j] = sys.a()[(i, j)] * h;
+        }
+        for j in 0..m {
+            aug[i * d + n + j] = sys.b()[(i, j)] * h;
+        }
+    }
+    let mut ws = ExpmWorkspace::new(d);
+    let mut e = vec![0.0; d * d];
+    c.bench_function("zoh_pair_dc_motor_1ms", |bench| {
+        bench.iter(|| {
+            expm_in(&aug, d, &mut e, &mut ws).expect("finite");
+            e[0]
+        })
+    });
 }
 
 fn bench_dare(c: &mut Criterion) {
@@ -128,6 +157,7 @@ criterion_group!(
     benches,
     bench_lu,
     bench_expm,
+    bench_zoh_pair,
     bench_dare,
     bench_integration,
     bench_event_calendar

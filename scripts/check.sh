@@ -25,7 +25,8 @@ cargo test --workspace -q --offline
 # run_scenario reference rows; sweep_faults drives the faulty
 # scheduled-run memo; sweep_cold misses the co-simulation memo on every
 # row (2^20 WCET tables) and runs static verification, so it drives the
-# sim kernel's integrator hardest; serve_open restarts the daemon on a
+# sim kernel hardest (each miss steps the plant in closed form between
+# events); serve_open restarts the daemon on a
 # warm disk store (the memo tables' seed/snapshot path) and
 # byte-compares every payload with an in-process Engine.
 for workload in sweep_memo sweep_faults sweep_cold serve_open; do
@@ -194,5 +195,20 @@ test -s results/BENCH_exp19.json
 test -s results/exp19_envelope.txt
 cargo test -q --offline -p ecl-bench --test envelope_soundness -- --test-threads=1
 cargo test -q --offline -p ecl-verify --test registry
+
+# The archive: every experiment and figure binary must regenerate the
+# committed bytes of its deterministic artifacts. exp11-exp19 ran
+# above; the rest run here. The diff covers results/*.txt and
+# results/*.csv. It leaves out BENCH_* and PROFILE_* (wall-clock
+# sidecars), cache/ (the daemon's store, untracked) and
+# exp9_trace.json / exp10_trace.json, whose span events carry
+# wall-clock stamps.
+echo "== archive: regenerated artifacts match the committed bytes =="
+for bin in exp6_latency_sweep exp7_jitter_sweep exp8_calibration exp9_adequation \
+    exp10_case_study exp11_period_sweep exp12_delay_margin fig1_latency_trace \
+    fig2_ideal_loop fig3_graph_of_delays fig4_sequencing fig5_conditioning; do
+    cargo run -q --offline --release -p ecl-bench --bin "$bin" >/dev/null
+done
+git diff --exit-code --stat -- 'results/*.txt' 'results/*.csv' ':(exclude)results/PROFILE_*'
 
 echo "All checks passed."
