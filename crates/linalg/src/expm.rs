@@ -10,7 +10,7 @@
 //! [`Mat`], a thin wrapper over it.
 
 use crate::lu::{factor_in_place, substitute_in_place};
-use crate::mat::matmul_into;
+use crate::mat::matmul_acc;
 use crate::{LinalgError, Mat};
 
 /// Padé-13 coefficients (Higham, *The scaling and squaring method for the
@@ -174,7 +174,10 @@ pub fn expm_in(
         return Ok(());
     }
     ws.fit(n);
-    let dims = (n, n, n);
+    let mul = |x: &[f64], y: &[f64], out: &mut [f64]| {
+        out.fill(0.0);
+        matmul_acc(x, y, (n, n, n), out);
+    };
     let id = |i: usize| if i.is_multiple_of(n + 1) { 1.0 } else { 0.0 };
     let ExpmWorkspace { mats, perm, col } = ws;
     let [a_s, a2, a4, a6, t, p, u] = mats;
@@ -192,27 +195,27 @@ pub fn expm_in(
     }
 
     // Padé-13: exp(A) ~ (V - U)^-1 (V + U), Higham's formulation.
-    matmul_into(a_s, a_s, dims, a2);
-    matmul_into(a2, a2, dims, a4);
-    matmul_into(a4, a2, dims, a6);
+    mul(a_s, a_s, a2);
+    mul(a2, a2, a4);
+    mul(a4, a2, a6);
     let b = &PADE13;
 
     // u_odd = A * (A6*(b13*A6 + b11*A4 + b9*A2) + b7*A6 + b5*A4 + b3*A2 + b1*I)
     for i in 0..nn {
         t[i] = a6[i] * b[13] + a4[i] * b[11] + a2[i] * b[9];
     }
-    matmul_into(a6, t, dims, p);
+    mul(a6, t, p);
     for i in 0..nn {
         p[i] = p[i] + a6[i] * b[7] + a4[i] * b[5] + a2[i] * b[3] + id(i) * b[1];
     }
-    matmul_into(a_s, p, dims, u);
+    mul(a_s, p, u);
 
     // v_even = A6*(b12*A6 + b10*A4 + b8*A2) + b6*A6 + b4*A4 + b2*A2 + b0*I,
     // built in `p`.
     for i in 0..nn {
         t[i] = a6[i] * b[12] + a4[i] * b[10] + a2[i] * b[8];
     }
-    matmul_into(a6, t, dims, p);
+    mul(a6, t, p);
     for i in 0..nn {
         p[i] = p[i] + a6[i] * b[6] + a4[i] * b[4] + a2[i] * b[2] + id(i) * b[0];
     }
@@ -239,7 +242,7 @@ pub fn expm_in(
 
     // Undo the scaling: square s times.
     for _ in 0..s {
-        matmul_into(out, out, dims, a2);
+        mul(out, out, a2);
         out.copy_from_slice(a2);
     }
     if !out.iter().all(|x| x.is_finite()) {

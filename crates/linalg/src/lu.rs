@@ -58,7 +58,7 @@ impl Lu {
         }
         let n = a.rows();
         let mut lu = a.clone();
-        let mut perm = vec![0; n];
+        let mut perm: Vec<usize> = (0..n).collect();
         let sign = factor_in_place(lu.as_mut_slice(), n, &mut perm)?;
         Ok(Lu { lu, perm, sign })
     }
@@ -143,6 +143,7 @@ impl Lu {
 /// # Errors
 ///
 /// Returns [`LinalgError::Singular`] if a pivot collapses to (near) zero.
+#[inline]
 pub(crate) fn factor_in_place(
     lu: &mut [f64],
     n: usize,
@@ -189,6 +190,7 @@ pub(crate) fn factor_in_place(
 /// Forward then back substitution through packed factors from
 /// [`factor_in_place`]: `x` holds the permuted right-hand side on entry
 /// and the solution on exit.
+#[inline]
 pub(crate) fn substitute_in_place(lu: &[f64], n: usize, x: &mut [f64]) {
     for i in 0..n {
         for j in 0..i {

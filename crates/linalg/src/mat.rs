@@ -344,7 +344,7 @@ impl Mat {
             });
         }
         let mut out = Mat::zeros(self.rows, other.cols);
-        matmul_into(
+        matmul_acc(
             &self.data,
             &other.data,
             (self.rows, self.cols, other.cols),
@@ -522,21 +522,24 @@ impl Mat {
     }
 }
 
-/// `out = a·b` for row-major `a` (`rows × inner`) and `b`
+/// `out += a·b` for row-major `a` (`rows × inner`) and `b`
 /// (`inner × cols`), with `(rows, inner, cols) = dims`: the one product
-/// kernel behind [`Mat::matmul`] and [`crate::expm_in`]. Zero entries
-/// of `a` are skipped.
-pub(crate) fn matmul_into(a: &[f64], b: &[f64], dims: (usize, usize, usize), out: &mut [f64]) {
+/// kernel behind [`Mat::matmul`] and [`crate::expm_in`], which pass a
+/// zeroed `out`. Zero entries of `a` are skipped.
+#[inline]
+pub(crate) fn matmul_acc(a: &[f64], b: &[f64], dims: (usize, usize, usize), out: &mut [f64]) {
     let (rows, inner, cols) = dims;
-    out[..rows * cols].fill(0.0);
     for i in 0..rows {
+        let a_row = &a[i * inner..(i + 1) * inner];
+        let out_row = &mut out[i * cols..(i + 1) * cols];
         for k in 0..inner {
-            let aik = a[i * inner + k];
+            let aik = a_row[k];
             if aik == 0.0 {
                 continue;
             }
+            let b_row = &b[k * cols..(k + 1) * cols];
             for j in 0..cols {
-                out[i * cols + j] += aik * b[k * cols + j];
+                out_row[j] += aik * b_row[j];
             }
         }
     }

@@ -15,9 +15,9 @@ use crate::trace::{EventRecord, Signal, SimResult};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimOptions {
     /// ODE method used between event instants, for models the engine
-    /// cannot advance in closed form: those whose continuous cone holds
-    /// a block (a time-reading source, say) or with a stateful block that
-    /// declares no [linear dynamics](crate::Block::linear_dynamics).
+    /// cannot advance in closed form: a non-empty continuous cone (a
+    /// time-reading source driving a plant, say), or a stateful block
+    /// that declares no [linear dynamics](crate::Block::linear_dynamics).
     /// When every stateful block is LTI with frozen inputs, each chunk
     /// is stepped exactly and this setting is not used.
     pub integrator: Integrator,
