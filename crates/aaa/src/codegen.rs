@@ -486,10 +486,11 @@ pub struct ReplayResult {
     pub makespan: TimeNs,
 }
 
-/// Executes the executives and communication sequences against the
-/// architecture's timing: computations take their WCET, transfers take
-/// the medium's latency-plus-rate time and respect the communication
-/// sequence's total order, `Recv` blocks until the data has crossed.
+/// Executes the executives and communication sequences for one nominal
+/// period from instant zero: computations take their WCET, transfers
+/// take the medium's latency-plus-rate time and respect the
+/// communication sequence's total order, `Recv` blocks until the data
+/// has crossed. This is [`execute`] with no deadline and no fault.
 ///
 /// This is an independent re-derivation of the schedule from the
 /// *generated code*; for executives produced by [`generate`] from a valid
@@ -497,85 +498,33 @@ pub struct ReplayResult {
 ///
 /// # Errors
 ///
-/// Returns [`AaaError::InvalidSchedule`] if the executives deadlock (a
-/// `Recv` waits for data never sent) — impossible for generated code, but
-/// the replay guards hand-written executives too.
+/// Returns [`AaaError::InvalidSchedule`] naming the blocked receives and
+/// medium slots if the code stalls — a `Recv` waits for data never sent,
+/// or the executives' order contradicts a communication sequence.
+/// Impossible for generated code, but the replay guards hand-written
+/// executives too.
 pub fn replay(generated: &Generated, arch: &ArchitectureGraph) -> Result<ReplayResult, AaaError> {
-    let execs = &generated.executives;
-    let mut pc = vec![0usize; execs.len()];
-    let mut time = vec![TimeNs::ZERO; execs.len()];
-    // Data posted by a Send: (src_op, from, medium) -> posting instant.
-    let mut posted: HashMap<(OpId, ProcId, MediumId), TimeNs> = HashMap::new();
-    // Completed transfers: (src_op, from, medium) -> arrival instant.
-    let mut arrived: HashMap<(OpId, ProcId, MediumId), TimeNs> = HashMap::new();
-    let mut seq_next = vec![0usize; generated.comm_sequences.len()];
-    let mut medium_free = vec![TimeNs::ZERO; generated.comm_sequences.len()];
     let mut op_end = Vec::new();
     let mut comm_end = Vec::new();
-
-    loop {
-        let mut progressed = false;
-        // Advance processors.
-        for (i, e) in execs.iter().enumerate() {
-            while pc[i] < e.instrs.len() {
-                match e.instrs[pc[i]] {
-                    Instr::Compute { op, wcet } => {
-                        time[i] += wcet;
-                        op_end.push((op, e.proc, time[i]));
-                        pc[i] += 1;
-                        progressed = true;
-                    }
-                    Instr::Send { src_op, medium, .. } => {
-                        posted.entry((src_op, e.proc, medium)).or_insert(time[i]);
-                        pc[i] += 1;
-                        progressed = true;
-                    }
-                    Instr::Recv {
-                        src_op,
-                        medium,
-                        from,
-                    } => {
-                        if let Some(&t) = arrived.get(&(src_op, from, medium)) {
-                            time[i] = time[i].max(t);
-                            pc[i] += 1;
-                            progressed = true;
-                        } else {
-                            break;
-                        }
-                    }
-                }
+    let seqs = &generated.comm_sequences;
+    execute(
+        generated,
+        TimeNs::ZERO,
+        None,
+        |_| true,
+        |si, pos| Some(arch.transfer_time(seqs[si].medium, seqs[si].transfers[pos].data_units)),
+        |step| match step {
+            Step::Compute { exec, op, end, .. } => {
+                op_end.push((op, generated.executives[exec].proc, end));
             }
-        }
-        // Advance communication sequences.
-        for (si, seq) in generated.comm_sequences.iter().enumerate() {
-            while seq_next[si] < seq.transfers.len() {
-                let t = seq.transfers[seq_next[si]];
-                let Some(&ready) = posted.get(&(t.src_op, t.from, seq.medium)) else {
-                    break; // data not yet produced
-                };
-                let start = medium_free[si].max(ready);
-                let end = start + arch.transfer_time(seq.medium, t.data_units);
-                medium_free[si] = end;
-                arrived.entry((t.src_op, t.from, seq.medium)).or_insert(end);
-                comm_end.push((t.src_op, seq.medium, end));
-                seq_next[si] += 1;
-                progressed = true;
+            Step::Transfer { seq, slot, end, .. } => {
+                comm_end.push((seqs[seq].transfers[slot].src_op, seqs[seq].medium, end));
             }
-        }
-        let procs_done = pc.iter().zip(execs).all(|(&c, e)| c >= e.instrs.len());
-        let comms_done = seq_next
-            .iter()
-            .zip(&generated.comm_sequences)
-            .all(|(&n, s)| n >= s.transfers.len());
-        if procs_done && comms_done {
-            break;
-        }
-        if !progressed {
-            return Err(AaaError::InvalidSchedule {
-                reason: "executive replay deadlocked (receive without a matching send)".into(),
-            });
-        }
-    }
+        },
+    )
+    .map_err(|stall| AaaError::InvalidSchedule {
+        reason: format!("executive replay deadlocked: {stall}"),
+    })?;
     let makespan = op_end
         .iter()
         .map(|&(_, _, t)| t)
@@ -587,6 +536,213 @@ pub fn replay(generated: &Generated, arch: &ArchitectureGraph) -> Result<ReplayR
         comm_end,
         makespan,
     })
+}
+
+/// One activity [`execute`] completed, reported in execution order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// Executive `exec` (an index into [`Generated::executives`])
+    /// computed `op` over `[start, end)`.
+    Compute {
+        /// Index of the executive.
+        exec: usize,
+        /// The operation computed.
+        op: OpId,
+        /// Start instant.
+        start: TimeNs,
+        /// Completion instant (`start + wcet`).
+        end: TimeNs,
+        /// `true` if an input never arrived or arrived past the deadline,
+        /// so the computation started at the deadline on stale data.
+        forced: bool,
+    },
+    /// Slot `slot` of communication sequence `seq` (an index into
+    /// [`Generated::comm_sequences`]) moved its data over `[start, end)`.
+    Transfer {
+        /// Index of the communication sequence.
+        seq: usize,
+        /// Position of the transfer in the sequence.
+        slot: usize,
+        /// Activation instant.
+        start: TimeNs,
+        /// Arrival instant.
+        end: TimeNs,
+    },
+}
+
+/// Executes one period of the generated code sequentially, on a virtual
+/// clock, and reports every computation and transfer to `step` in
+/// execution order.
+///
+/// Every processor clock and every medium starts at `origin`. `Compute`
+/// advances the processor's clock by the WCET; `Send` posts the data at
+/// the clock without blocking (the first post of a producer on a medium
+/// wins); `Recv` waits for the data's arrival and max-merges it into the
+/// clock. Each medium moves its sequence in order: a slot starts at
+/// `max(data posted, previous slot's arrival)` and lasts what its fate
+/// says. The instants are a max/plus fold, so the round-robin order the
+/// loop visits processors and media in decides no value.
+///
+/// * `runs(e)` is `false` for an executive that executes nothing this
+///   period (a dead processor), posting nothing.
+/// * `fate(seq, slot)` is `None` if the transfer is dropped this period
+///   (it posts no arrival), else how long it occupies the medium. It is
+///   read more than once per slot, so it must be a function of its slot.
+/// * With a `deadline`, a receive whose delivering slots all drop is
+///   forced without waiting, as is one whose data arrives past the
+///   deadline: the processor's next computation starts at the deadline.
+///   A slot after a dropped one, or whose data or predecessor is past
+///   the deadline, starts at the deadline. Without a deadline nothing is
+///   forced, and a receive of dropped data stalls.
+///
+/// # Errors
+///
+/// When no processor and no medium can progress, names every blocked
+/// receive and every blocked medium slot: a receive of data no executive
+/// sends, or executives whose order contradicts a communication sequence.
+pub fn execute(
+    generated: &Generated,
+    origin: TimeNs,
+    deadline: Option<TimeNs>,
+    runs: impl Fn(usize) -> bool,
+    fate: impl Fn(usize, usize) -> Option<TimeNs>,
+    mut step: impl FnMut(Step),
+) -> Result<(), String> {
+    let execs = &generated.executives;
+    let seqs = &generated.comm_sequences;
+    // Whether some slot delivers each (producer, sender, medium) this
+    // period: under a deadline, a receive whose slots all drop never waits.
+    let mut delivers: HashMap<(OpId, ProcId, MediumId), bool> = HashMap::new();
+    for (si, seq) in seqs.iter().enumerate() {
+        for (pos, t) in seq.transfers.iter().enumerate() {
+            let key = (t.src_op, t.from, seq.medium);
+            *delivers.entry(key).or_default() |= fate(si, pos).is_some();
+        }
+    }
+    // Posting instant and arrival instant of each (producer, sender, medium).
+    let mut posted: HashMap<(OpId, ProcId, MediumId), TimeNs> = HashMap::new();
+    let mut arrived: HashMap<(OpId, ProcId, MediumId), TimeNs> = HashMap::new();
+    let mut pc: Vec<usize> = execs
+        .iter()
+        .enumerate()
+        .map(|(i, e)| if runs(i) { 0 } else { e.instrs.len() })
+        .collect();
+    let mut clock = vec![origin; execs.len()];
+    // The deadline a processor's next computation is forced to.
+    let mut forced_at: Vec<Option<TimeNs>> = vec![None; execs.len()];
+    let mut next = vec![0usize; seqs.len()];
+    // Arrival of each medium's last delivered slot, and whether the slot
+    // after it dropped.
+    let mut free = vec![origin; seqs.len()];
+    let mut after_drop = vec![false; seqs.len()];
+
+    loop {
+        let mut progressed = false;
+        for (i, e) in execs.iter().enumerate() {
+            while let Some(&ins) = e.instrs.get(pc[i]) {
+                match ins {
+                    Instr::Compute { op, wcet } => {
+                        let forced = forced_at[i].take();
+                        let start = forced.unwrap_or(clock[i]);
+                        clock[i] = start + wcet;
+                        step(Step::Compute {
+                            exec: i,
+                            op,
+                            start,
+                            end: clock[i],
+                            forced: forced.is_some(),
+                        });
+                    }
+                    Instr::Send { src_op, medium, .. } => {
+                        posted.entry((src_op, e.proc, medium)).or_insert(clock[i]);
+                    }
+                    Instr::Recv {
+                        src_op,
+                        medium,
+                        from,
+                    } => {
+                        let key = (src_op, from, medium);
+                        match (deadline, arrived.get(&key)) {
+                            (Some(d), _) if delivers.get(&key) == Some(&false) => {
+                                forced_at[i] = Some(d);
+                            }
+                            (Some(d), Some(&t)) if t > d => forced_at[i] = Some(d),
+                            (_, Some(&t)) => clock[i] = clock[i].max(t),
+                            (_, None) => break,
+                        }
+                    }
+                }
+                pc[i] += 1;
+                progressed = true;
+            }
+        }
+        for (si, seq) in seqs.iter().enumerate() {
+            while let Some(t) = seq.transfers.get(next[si]) {
+                let key = (t.src_op, t.from, seq.medium);
+                let Some(duration) = fate(si, next[si]) else {
+                    after_drop[si] = true;
+                    next[si] += 1;
+                    progressed = true;
+                    continue;
+                };
+                let Some(&ready) = posted.get(&key) else {
+                    break;
+                };
+                let start = match deadline {
+                    Some(d) if after_drop[si] || free[si] > d || ready > d => d,
+                    _ => free[si].max(ready),
+                };
+                let end = start + duration;
+                arrived.entry(key).or_insert(end);
+                step(Step::Transfer {
+                    seq: si,
+                    slot: next[si],
+                    start,
+                    end,
+                });
+                free[si] = end;
+                after_drop[si] = false;
+                next[si] += 1;
+                progressed = true;
+            }
+        }
+        if progressed {
+            continue;
+        }
+        let recvs = execs
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| match e.instrs.get(pc[i])? {
+                &Instr::Recv {
+                    src_op,
+                    medium,
+                    from,
+                } => Some(
+                    BlockedRecv {
+                        proc: e.proc,
+                        instr: pc[i],
+                        src_op,
+                        from,
+                        medium,
+                    }
+                    .to_string(),
+                ),
+                _ => None,
+            });
+        let slots = seqs.iter().enumerate().filter_map(|(si, seq)| {
+            let t = seq.transfers.get(next[si])?;
+            Some(format!(
+                "{} slot {} waits for {} from {}",
+                seq.medium, next[si], t.src_op, t.from
+            ))
+        });
+        let blocked: Vec<String> = recvs.chain(slots).collect();
+        return if blocked.is_empty() {
+            Ok(())
+        } else {
+            Err(blocked.join("; "))
+        };
+    }
 }
 
 #[cfg(test)]
@@ -903,10 +1059,10 @@ mod tests {
         };
         let mut arch = ArchitectureGraph::new();
         arch.add_processor("p0", "arm");
-        assert!(matches!(
-            replay(&g, &arch),
-            Err(AaaError::InvalidSchedule { .. })
-        ));
+        let Err(AaaError::InvalidSchedule { reason }) = replay(&g, &arch) else {
+            panic!("expected a stalled replay");
+        };
+        assert!(reason.contains("p0 waits for op0 from p1 on m0"), "{reason}");
     }
 
     #[test]
