@@ -1062,7 +1062,10 @@ mod tests {
         let Err(AaaError::InvalidSchedule { reason }) = replay(&g, &arch) else {
             panic!("expected a stalled replay");
         };
-        assert!(reason.contains("p0 waits for op0 from p1 on m0"), "{reason}");
+        assert!(
+            reason.contains("p0 waits for op0 from p1 on m0"),
+            "{reason}"
+        );
     }
 
     #[test]

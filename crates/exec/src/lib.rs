@@ -1,42 +1,44 @@
-//! Concurrent virtual distributed executive.
+//! Virtual distributed executive.
 //!
 //! The AAA pipeline generates, per processor, a synchronized instruction
 //! sequence ([`ecl_aaa::codegen::Executive`]) and, per medium, a total
 //! order of transfers ([`ecl_aaa::codegen::MediumSequence`]). The graph
 //! of delays (`ecl_core::delays`) *predicts* when each operation of that
-//! code would complete; this crate *measures* it by actually running the
-//! generated code: [`run`] launches one OS thread per processor and one
-//! per medium, synchronized through rendezvous boards keyed on
-//! `(period, producer, sender, medium)`.
+//! code would complete; this crate *measures* it by running the
+//! generated code: [`run`] steps every executive and communication
+//! sequence, one period at a time, on the sequential executor
+//! [`codegen::execute`] that `codegen::replay` also drives.
 //!
 //! # The virtual-clock protocol
 //!
-//! No thread ever reads a wall clock. Each processor thread carries a
-//! *local virtual clock* that restarts at `k·P` each period `k`,
-//! advances by the WCET on every `Compute`, and max-merges with the
-//! transfer's arrival instant on every `Recv`; a `Send` posts the
-//! producer's data stamped with the local clock (posting is
-//! non-blocking, as in the generated code). Each medium thread replays
-//! its communication sequence in order: a transfer starts at
-//! `max(data ready, medium free)` and arrives after the medium's
-//! latency-plus-rate time. Every timestamp is therefore a pure max/plus
-//! fold over the executives, the architecture timing and the fault
-//! plan — the OS scheduler decides only *when* the folds happen, never
-//! their *values*, so runs are byte-deterministic and wall-clock-free
-//! at any level of genuine hardware parallelism.
+//! Nothing reads a wall clock. Each processor carries a *local virtual
+//! clock* that restarts at `k·P` each period `k`, advances by the WCET
+//! on every `Compute`, and max-merges with the transfer's arrival
+//! instant on every `Recv`; a `Send` posts the producer's data stamped
+//! with the local clock (posting is non-blocking, as in the generated
+//! code). Each medium moves its communication sequence in order: a
+//! transfer starts at `max(data ready, medium free)` and arrives after
+//! the scheduled slot duration. Every timestamp is therefore a pure
+//! max/plus fold over the executives, the architecture timing and the
+//! fault plan: the order in which the executor visits processors and
+//! media decides no value, so a concurrent target computes the same
+//! instants and runs are byte-deterministic. The executor never blocks,
+//! so it cannot hang: code that no processor or medium can advance (an
+//! orphan receive, or executives whose order contradicts a medium
+//! sequence) is an [`ExecError::Deadlock`].
 //!
 //! # Fault semantics
 //!
 //! An optional [`FaultPlan`](ecl_core::faults::FaultPlan) — the same
-//! plan that drives the graph of delays' `FaultyDelay` blocks — drives
-//! the boards: a dropped transfer posts no arrival (its consumers and
-//! the medium's next slot are *forced* at the period's deadline
+//! plan that drives the graph of delays' `FaultyDelay` blocks — fixes
+//! each slot's fate: a dropped transfer posts no arrival (its consumers
+//! and the medium's next slot are *forced* at the period's deadline
 //! `k·P + P − 1ns`, mirroring the graph's `Synchronization` timeout
 //! arms), a retried transfer stretches by `retries · retry cost`, and a
 //! dead processor executes nothing from its failure period on. Because
 //! every fate is precomputed from the shared plan, a receive knows
-//! *before blocking* whether its arrival will ever be posted — the VM
-//! cannot hang on an injected fault.
+//! whether its arrival will ever be posted and is forced without
+//! waiting when it will not.
 //!
 //! Divergence boundaries (where the VM is *not* expected to mirror the
 //! graph of delays) are documented in `DESIGN.md` §9: completions
@@ -67,11 +69,14 @@ pub struct ExecOptions<'a> {
     pub faults: Option<&'a FaultPlan>,
 }
 
-/// Why a [`run`] refused to launch.
+/// Why a [`run`] failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
-    /// The executives fail the pre-launch deadlock check; the message
-    /// names the blocked receives and the wait cycle.
+    /// The code would hang on a target. Either the executives alone fail
+    /// the deadlock check (the message names the blocked receives and the
+    /// wait cycle), or their order contradicts a medium's communication
+    /// sequence (the message names the blocked receives and the blocked
+    /// medium slots).
     Deadlock(String),
     /// The executives, communication sequences and schedule are
     /// mutually inconsistent (a receive with no matching transfer, a
@@ -414,303 +419,6 @@ mod tests {
     use ecl_aaa::{adequation, AdequationOptions, TimingDb};
     use ecl_core::faults::FaultConfig;
     use ecl_core::xval::{predict_op_completions, validate_schedule};
-    use proptest::prelude::*;
-
-    /// The threaded virtual machine this crate ran before the shared
-    /// sequential executor: the reference of the differential property
-    /// below.
-    mod threaded {
-        use std::collections::HashMap;
-        use std::sync::{Condvar, Mutex};
-
-        use ecl_aaa::codegen::{check_deadlock_free, Executive, Generated, Instr, MediumSequence};
-        use ecl_aaa::{ArchitectureGraph, MediumId, OpId, ProcId, Schedule, TimeNs};
-        use ecl_core::faults::{CommFault, FaultPlan};
-
-        use super::super::{
-            map_slots_to_schedule, CommRecord, ExecError, ExecOptions, ExecRun, OpRecord,
-        };
-
-        /// A rendezvous board: the first post for a key wins (matching the
-        /// replay's `or_insert` semantics), waiters block on the condvar until
-        /// their key appears.
-        #[derive(Default)]
-        struct Board {
-            map: Mutex<HashMap<(u32, OpId, ProcId, MediumId), TimeNs>>,
-            cv: Condvar,
-        }
-
-        impl Board {
-            fn post(&self, key: (u32, OpId, ProcId, MediumId), t: TimeNs) {
-                let mut map = self.map.lock().expect("board poisoned");
-                map.entry(key).or_insert(t);
-                self.cv.notify_all();
-            }
-
-            fn wait(&self, key: (u32, OpId, ProcId, MediumId)) -> TimeNs {
-                let mut map = self.map.lock().expect("board poisoned");
-                loop {
-                    if let Some(&t) = map.get(&key) {
-                        return t;
-                    }
-                    map = self.cv.wait(map).expect("board poisoned");
-                }
-            }
-        }
-
-        /// Executes the generated code concurrently for `opts.periods` periods
-        /// and returns every measured computation and transfer.
-        ///
-        /// `schedule` must be the schedule the executives were generated from:
-        /// it carries the per-medium transfer order and slot durations that the
-        /// fault plan's fates are indexed by (the same indexing the graph of
-        /// delays uses, so a shared plan drives both models identically).
-        ///
-        /// # Errors
-        ///
-        /// * [`ExecError::Deadlock`] if the pre-launch [`check_deadlock_free`]
-        ///   finds a cyclic or orphan wait — nothing is spawned;
-        /// * [`ExecError::InvalidInput`] if the executives, sequences and
-        ///   schedule are mutually inconsistent (which could otherwise hang a
-        ///   board wait forever).
-        pub(super) fn run(
-            generated: &Generated,
-            arch: &ArchitectureGraph,
-            schedule: &Schedule,
-            opts: &ExecOptions<'_>,
-        ) -> Result<ExecRun, ExecError> {
-            if opts.period <= TimeNs::ZERO {
-                return Err(ExecError::InvalidInput(format!(
-                    "period {} is not positive",
-                    opts.period
-                )));
-            }
-            let check = check_deadlock_free(&generated.executives);
-            if !check.is_free() {
-                return Err(ExecError::Deadlock(check.to_string()));
-            }
-            let slot_index = map_slots_to_schedule(generated, schedule)?;
-            // Transfers delivering each (producer, sender, medium) key, as
-            // global communication indices — the fate lookup for receives.
-            let mut delivering: HashMap<(OpId, ProcId, MediumId), Vec<usize>> = HashMap::new();
-            for (si, seq) in generated.comm_sequences.iter().enumerate() {
-                for (pos, t) in seq.transfers.iter().enumerate() {
-                    delivering
-                        .entry((t.src_op, t.from, seq.medium))
-                        .or_default()
-                        .push(slot_index[si][pos]);
-                }
-            }
-            for e in &generated.executives {
-                for ins in &e.instrs {
-                    if let Instr::Recv {
-                        src_op,
-                        medium,
-                        from,
-                    } = *ins
-                    {
-                        if !delivering.contains_key(&(src_op, from, medium)) {
-                            return Err(ExecError::InvalidInput(format!(
-                                "{} receives {} from {} on {} but no transfer delivers it",
-                                e.proc, src_op, from, medium
-                            )));
-                        }
-                    }
-                }
-            }
-            for seq in &generated.comm_sequences {
-                for t in &seq.transfers {
-                    let sent = generated.executives.iter().any(|e| {
-                        e.proc == t.from
-                            && e.instrs.iter().any(|i| {
-                                matches!(i, Instr::Send { src_op, medium, .. }
-                                    if *src_op == t.src_op && *medium == seq.medium)
-                            })
-                    });
-                    if !sent {
-                        return Err(ExecError::InvalidInput(format!(
-                            "transfer of {} from {} on {} has no matching send",
-                            t.src_op, t.from, seq.medium
-                        )));
-                    }
-                }
-            }
-
-            let plan: Option<&FaultPlan> = opts.faults.filter(|p| !p.is_trivial());
-            let posted = Board::default();
-            let arrived = Board::default();
-            let (period, periods) = (opts.period, opts.periods);
-
-            let (ops, comms) = std::thread::scope(|scope| {
-                let proc_handles: Vec<_> = generated
-                    .executives
-                    .iter()
-                    .map(|e| {
-                        let (posted, arrived, delivering) = (&posted, &arrived, &delivering);
-                        scope.spawn(move || {
-                            run_processor(e, plan, delivering, posted, arrived, period, periods)
-                        })
-                    })
-                    .collect();
-                let comm_handles: Vec<_> = generated
-                    .comm_sequences
-                    .iter()
-                    .zip(&slot_index)
-                    .map(|(seq, slots)| {
-                        let (posted, arrived) = (&posted, &arrived);
-                        scope.spawn(move || {
-                            run_medium(
-                                seq, slots, schedule, arch, plan, posted, arrived, period, periods,
-                            )
-                        })
-                    })
-                    .collect();
-                // Joining in spawn order makes the record concatenation (and so
-                // the whole `ExecRun`) independent of thread scheduling.
-                let ops = proc_handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("processor thread panicked"))
-                    .collect();
-                let comms = comm_handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("medium thread panicked"))
-                    .collect();
-                (ops, comms)
-            });
-            Ok(ExecRun {
-                period,
-                periods,
-                ops,
-                comms,
-            })
-        }
-
-        fn run_processor(
-            exec: &Executive,
-            plan: Option<&FaultPlan>,
-            delivering: &HashMap<(OpId, ProcId, MediumId), Vec<usize>>,
-            posted: &Board,
-            arrived: &Board,
-            period: TimeNs,
-            periods: u32,
-        ) -> Vec<OpRecord> {
-            let mut records = Vec::new();
-            let dead_from = plan.and_then(|p| p.proc_dead_from(exec.proc.index()));
-            for k in 0..periods {
-                if dead_from.is_some_and(|d| k >= d) {
-                    continue; // dead: computes nothing, posts nothing
-                }
-                let origin = period * i64::from(k);
-                let deadline = origin + period - TimeNs::from_nanos(1);
-                let mut local = origin;
-                let mut forced = false;
-                for ins in &exec.instrs {
-                    match *ins {
-                        Instr::Recv {
-                            src_op,
-                            medium,
-                            from,
-                        } => {
-                            // The fate of every delivering transfer is known
-                            // from the shared plan before blocking: if none
-                            // arrives this period, don't wait for a post that
-                            // will never come.
-                            let fated = plan.is_none_or(|p| {
-                                delivering[&(src_op, from, medium)]
-                                    .iter()
-                                    .any(|&i| p.comm_fault(i, k) != CommFault::Drop)
-                            });
-                            if !fated {
-                                forced = true;
-                            } else {
-                                let t = arrived.wait((k, src_op, from, medium));
-                                if plan.is_some() && t > deadline {
-                                    forced = true; // arrived past the deadline
-                                } else {
-                                    local = local.max(t);
-                                }
-                            }
-                        }
-                        Instr::Compute { op, wcet } => {
-                            let start = if forced { deadline } else { local };
-                            let end = start + wcet;
-                            records.push(OpRecord {
-                                op,
-                                proc: exec.proc,
-                                period: k,
-                                start,
-                                end,
-                                forced,
-                            });
-                            local = end;
-                            forced = false;
-                        }
-                        Instr::Send { src_op, medium, .. } => {
-                            posted.post((k, src_op, exec.proc, medium), local);
-                        }
-                    }
-                }
-            }
-            records
-        }
-
-        #[allow(clippy::too_many_arguments)]
-        fn run_medium(
-            seq: &MediumSequence,
-            slots: &[usize],
-            schedule: &Schedule,
-            arch: &ArchitectureGraph,
-            plan: Option<&FaultPlan>,
-            posted: &Board,
-            arrived: &Board,
-            period: TimeNs,
-            periods: u32,
-        ) -> Vec<CommRecord> {
-            let mut records = Vec::new();
-            for k in 0..periods {
-                let origin = period * i64::from(k);
-                let deadline = origin + period - TimeNs::from_nanos(1);
-                // Completion of the previous slot this period (the period clock
-                // for the first); `None` after a dropped slot, whose missing
-                // rendezvous arm forces the next slot at the deadline — exactly
-                // the graph of delays' wiring.
-                let mut prev: Option<TimeNs> = Some(origin);
-                for (pos, t) in seq.transfers.iter().enumerate() {
-                    let i = slots[pos];
-                    let fate = plan.map_or(CommFault::Ok, |p| p.comm_fault(i, k));
-                    if fate == CommFault::Drop {
-                        prev = None;
-                        continue; // swallowed: no arrival is ever posted
-                    }
-                    let ready = posted.wait((k, t.src_op, t.from, seq.medium));
-                    let start = match prev {
-                        Some(p) if plan.is_none() => p.max(ready),
-                        Some(p) if ready <= deadline && p <= deadline => p.max(ready),
-                        _ => deadline,
-                    };
-                    let slot = &schedule.comms()[i];
-                    let mut end = start + (slot.end - slot.start);
-                    if let CommFault::Retry(r) = fate {
-                        let cost = schedule.comm_retry_cost(arch, i).unwrap_or(TimeNs::ZERO);
-                        end += cost * i64::from(r);
-                    }
-                    arrived.post((k, t.src_op, t.from, seq.medium), end);
-                    records.push(CommRecord {
-                        src_op: t.src_op,
-                        medium: seq.medium,
-                        from: t.from,
-                        to: t.to,
-                        period: k,
-                        start,
-                        end,
-                    });
-                    prev = Some(end);
-                }
-            }
-            records
-        }
-    }
-
     fn us(v: i64) -> TimeNs {
         TimeNs::from_micros(v)
     }
@@ -752,92 +460,6 @@ mod tests {
             period: TimeNs::from_millis(1),
             periods,
             faults: None,
-        }
-    }
-
-    /// A random deployment: a DAG of `n` operations (edges oriented
-    /// forward) on `procs` processors sharing one bus.
-    fn random_deployment(
-        n: usize,
-        raw_edges: &[(usize, usize)],
-        procs: usize,
-        latency_us: i64,
-        wcets_us: &[i64],
-    ) -> (ArchitectureGraph, Schedule, Generated) {
-        let mut alg = AlgorithmGraph::new();
-        let ids: Vec<OpId> = (0..n)
-            .map(|i| match i % 5 {
-                0 => alg.add_sensor(format!("s{i}")),
-                4 => alg.add_actuator(format!("a{i}")),
-                _ => alg.add_function(format!("f{i}")),
-            })
-            .collect();
-        for &(a, b) in raw_edges {
-            let (lo, hi) = (a.min(b), a.max(b));
-            if lo != hi && hi < n {
-                let _ = alg.add_edge(ids[lo], ids[hi], 1 + (lo as u32 % 4));
-            }
-        }
-        let mut arch = ArchitectureGraph::new();
-        let ps: Vec<ProcId> = (0..procs)
-            .map(|i| arch.add_processor(format!("p{i}"), "arm"))
-            .collect();
-        if procs > 1 {
-            arch.add_bus("bus", &ps, us(latency_us), us(1)).unwrap();
-        }
-        let mut db = TimingDb::new();
-        for (op, &w) in ids.iter().zip(wcets_us) {
-            db.set_default(*op, us(w));
-        }
-        let schedule = adequation(&alg, &arch, &db, AdequationOptions::default()).unwrap();
-        let generated = generate(&schedule, &alg, &arch).unwrap();
-        (arch, schedule, generated)
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(1024))]
-
-        /// The sequential executor measures exactly what the threaded VM
-        /// measured, record for record, on random deployments under
-        /// random fault plans, at periods from tighter than the makespan
-        /// to roomy.
-        #[test]
-        fn sequential_executor_matches_threaded_vm(
-            n in 2usize..10,
-            raw_edges in proptest::collection::vec((0usize..10, 0usize..10), 0..20),
-            procs in 1usize..4,
-            latency_us in 0i64..200,
-            wcets_us in proptest::collection::vec(10i64..400, 10),
-            frame in 0.0f64..0.5,
-            outage in 0.0f64..0.3,
-            dropout in 0.0f64..0.2,
-            retries in 0u32..4,
-            seed in 0u64..1_000_000,
-            slack_pct in -40i64..60,
-            periods in 1u32..8,
-            faulty in 0u8..3,
-        ) {
-            let (arch, schedule, generated) =
-                random_deployment(n, &raw_edges, procs, latency_us, &wcets_us);
-            let makespan = schedule.makespan().as_nanos();
-            let period = TimeNs::from_nanos(makespan * (100 + slack_pct) / 100 + 1);
-            let config = FaultConfig {
-                seed,
-                frame_loss_rate: frame,
-                link_outage_rate: outage,
-                proc_dropout_rate: dropout,
-                max_retries: retries,
-                ..FaultConfig::default()
-            };
-            let plan = FaultPlan::generate(&config, &schedule, &arch, periods).unwrap();
-            let opts = ExecOptions {
-                period,
-                periods,
-                faults: (faulty > 0).then_some(&plan),
-            };
-            let sequential = run(&generated, &arch, &schedule, &opts);
-            let reference = threaded::run(&generated, &arch, &schedule, &opts);
-            prop_assert_eq!(sequential, reference);
         }
     }
 
