@@ -32,11 +32,12 @@
 //!   identity directly on the underlying artifacts.
 //! * **Sidecar** — `results/PROFILE_exp16.json` (per-phase wall-clock
 //!   attribution) and `results/BENCH_exp16.json` (throughput and memo
-//!   evidence vs the PR-6 baseline).
+//!   evidence vs the PR-6 baseline, with the workers, available cores,
+//!   build profile and git rev it was measured with).
 
 use ecl_aaa::{adequation, AdequationOptions, Fnv1a, TimeNs};
 use ecl_bench::fleet::{run_sweep, workers_from_env, SweepConfig, SweepOutput};
-use ecl_bench::{dc_motor_loop, split_scenario, write_result, SplitScenario};
+use ecl_bench::{dc_motor_loop, machine_json, split_scenario, write_result, SplitScenario};
 use ecl_core::cosim::{self, LoopSpec};
 use ecl_telemetry::{Phase, ProfileReport};
 
@@ -157,7 +158,7 @@ fn bench_json(out: &SweepOutput, profile: &ProfileReport, hot_allocs: u64) -> St
     format!(
         "{{\"experiment\":\"exp16_scale\",\
          \"scenarios\":{},\
-         \"workers\":{},\
+         \"workers\":{},{},\
          \"wall_ns\":{},\
          \"scenarios_per_s\":{throughput:.1},\
          \"baseline_scenarios_per_s\":{BASELINE_SCENARIOS_PER_S:.1},\
@@ -173,6 +174,7 @@ fn bench_json(out: &SweepOutput, profile: &ProfileReport, hot_allocs: u64) -> St
          \"hot_allocs_zero\":{}}}\n",
         out.summary.scenarios.len(),
         profile.workers.len(),
+        machine_json(),
         profile.wall_ns,
         throughput_x >= SPEEDUP_FLOOR,
         ideal_speedup_x >= SPEEDUP_FLOOR,

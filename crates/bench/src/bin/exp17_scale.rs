@@ -37,11 +37,12 @@
 //! * **Sidecar** — `results/PROFILE_exp17.json` (per-phase wall-clock
 //!   attribution with the scheduled-memo lookup channel) and
 //!   `results/BENCH_exp17.json` (throughput, memo and race evidence vs
-//!   the E16 baseline).
+//!   the E16 baseline, with the workers, available cores, build profile
+//!   and git rev it was measured with).
 
 use ecl_aaa::{adequation, AdequationOptions, Fnv1a, TimeNs};
 use ecl_bench::fleet::{run_sweep, workers_from_env, SweepConfig, SweepOutput};
-use ecl_bench::{dc_motor_loop, split_scenario, write_result, SplitScenario};
+use ecl_bench::{dc_motor_loop, machine_json, split_scenario, write_result, SplitScenario};
 use ecl_core::cosim::{self, Activation, LoopSpec};
 use ecl_core::faults::{FaultConfig, FaultPlan};
 use ecl_telemetry::{Collector, Phase, ProfileReport};
@@ -201,7 +202,7 @@ fn bench_json(out: &SweepOutput, profile: &ProfileReport, hot_allocs: u64) -> St
     format!(
         "{{\"experiment\":\"exp17_scale\",\
          \"scenarios\":{},\
-         \"workers\":{},\
+         \"workers\":{},{},\
          \"wall_ns\":{},\
          \"scenarios_per_s\":{throughput:.1},\
          \"baseline_scenarios_per_s\":{BASELINE_SCENARIOS_PER_S:.1},\
@@ -218,6 +219,7 @@ fn bench_json(out: &SweepOutput, profile: &ProfileReport, hot_allocs: u64) -> St
          \"hot_allocs_zero\":{}}}\n",
         out.summary.scenarios.len(),
         profile.workers.len(),
+        machine_json(),
         profile.wall_ns,
         throughput_x >= SPEEDUP_FLOOR,
         out.scheduled_hits,

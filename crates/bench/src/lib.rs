@@ -227,6 +227,28 @@ pub fn write_result(file_name: &str, contents: &str) -> std::io::Result<std::pat
     Ok(path)
 }
 
+/// The machine and build a wall-clock sidecar was measured on, as JSON
+/// object members without braces: available cores, build profile and
+/// git rev (the fields of perfbench's run header besides the worker
+/// count, which each sidecar records as `workers`). A rev that `git`
+/// cannot report reads `unknown`.
+pub fn machine_json() -> String {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    let rev = std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string());
+    format!("\"available_cores\":{cores},\"build_profile\":\"{profile}\",\"git_rev\":\"{rev}\"")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
