@@ -709,34 +709,31 @@ pub fn execute(
         if progressed {
             continue;
         }
-        let recvs = execs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| match e.instrs.get(pc[i])? {
-                &Instr::Recv {
-                    src_op,
-                    medium,
-                    from,
-                } => Some(
-                    BlockedRecv {
-                        proc: e.proc,
-                        instr: pc[i],
-                        src_op,
-                        from,
-                        medium,
-                    }
-                    .to_string(),
-                ),
-                _ => None,
-            });
-        let slots = seqs.iter().enumerate().filter_map(|(si, seq)| {
-            let t = seq.transfers.get(next[si])?;
-            Some(format!(
-                "{} slot {} waits for {} from {}",
-                seq.medium, next[si], t.src_op, t.from
-            ))
-        });
-        let blocked: Vec<String> = recvs.chain(slots).collect();
+        // Only a receive blocks a processor, and only a send not yet
+        // posted blocks a medium.
+        let mut blocked = Vec::new();
+        for (i, e) in execs.iter().enumerate() {
+            if let Some(&Instr::Recv {
+                src_op,
+                medium,
+                from,
+            }) = e.instrs.get(pc[i])
+            {
+                blocked.push(format!(
+                    "{} waits for {src_op} from {from} on {medium}",
+                    e.proc
+                ));
+            }
+        }
+        for (si, seq) in seqs.iter().enumerate() {
+            if let Some(t) = seq.transfers.get(next[si]) {
+                let (medium, slot) = (seq.medium, next[si]);
+                blocked.push(format!(
+                    "{medium} slot {slot} waits for {} from {}",
+                    t.src_op, t.from
+                ));
+            }
+        }
         return if blocked.is_empty() {
             Ok(())
         } else {
