@@ -1,11 +1,13 @@
-//! E13-EXEC — the concurrent virtual executive cross-validated against
-//! the graph of delays.
+//! E13-EXEC — the virtual executive cross-validated against the graph
+//! of delays.
 //!
 //! The paper's graph of delays *predicts* the instants a distributed
 //! implementation samples and actuates at; the `ecl-exec` virtual
-//! machine *measures* them, by actually running the generated
-//! executives — one thread per ECU, rendezvous channels per bus — on a
-//! virtual clock. This experiment diffs the two on the quarter-car
+//! machine *measures* them, by running the generated executives — every
+//! ECU's instruction sequence and every bus's communication sequence,
+//! stepped by one sequential executor — on a virtual clock. Since every
+//! instant is a max/plus fold, a concurrent target would measure the
+//! same. This experiment diffs the two on the quarter-car
 //! case study of E10 (3 ECUs on one CAN bus) and demands **zero
 //! divergence**, twice:
 //!

@@ -3,11 +3,11 @@
 //!
 //! The methodology's step 3 *predicts* the distributed implementation's
 //! operation instants with the graph of delays; `ecl-exec` *measures*
-//! them by actually running the generated executives as concurrent
-//! threads under a virtual clock. Both series are pure functions of the
-//! same inputs (schedule, architecture timing, fault plan), so they must
-//! agree op-by-op, period-by-period — any divergence is a bug in one of
-//! the two models. This module holds the shared timeline type
+//! them by running the generated executives and communication sequences
+//! on a sequential executor under a virtual clock. Both series are pure
+//! functions of the same inputs (schedule, architecture timing, fault
+//! plan), so they must agree op-by-op, period-by-period — any divergence
+//! is a bug in one of the two models. This module holds the shared timeline type
 //! ([`OpTimeline`]), the predictor ([`predict_op_completions`], a thin
 //! harness over [`crate::delays`]) and the comparator
 //! ([`validate_schedule`] → [`ValidationReport`]).

@@ -29,16 +29,15 @@
 //!
 //! # Fault semantics
 //!
-//! An optional [`FaultPlan`](ecl_core::faults::FaultPlan) — the same
-//! plan that drives the graph of delays' `FaultyDelay` blocks — fixes
-//! each slot's fate: a dropped transfer posts no arrival (its consumers
-//! and the medium's next slot are *forced* at the period's deadline
-//! `k·P + P − 1ns`, mirroring the graph's `Synchronization` timeout
-//! arms), a retried transfer stretches by `retries · retry cost`, and a
-//! dead processor executes nothing from its failure period on. Because
-//! every fate is precomputed from the shared plan, a receive knows
-//! whether its arrival will ever be posted and is forced without
-//! waiting when it will not.
+//! An optional [`FaultPlan`] — the same plan that drives the graph of
+//! delays' `FaultyDelay` blocks — fixes each slot's fate: a dropped
+//! transfer posts no arrival (its consumers and the medium's next slot
+//! are *forced* at the period's deadline `k·P + P − 1ns`, mirroring the
+//! graph's `Synchronization` timeout arms), a retried transfer
+//! stretches by `retries · retry cost`, and a dead processor executes
+//! nothing from its failure period on. Because every fate is
+//! precomputed from the shared plan, a receive knows whether its arrival
+//! will ever be posted and is forced without waiting when it will not.
 //!
 //! Divergence boundaries (where the VM is *not* expected to mirror the
 //! graph of delays) are documented in `DESIGN.md` §9: completions

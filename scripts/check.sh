@@ -75,7 +75,9 @@ test -s results/exp12_fault_sweep.txt
 # E13-EXEC: the virtual executive must measure exactly the instants the
 # graph of delays predicts (asserted internally, nominal + fault plan),
 # and the validated sweep must be byte-identical for any worker count.
-# The VM's own determinism is re-asserted single-threaded.
+# The VM steps every processor and medium on one sequential executor;
+# its unit tests (determinism, fault fates, the media-order deadlock)
+# rerun on one test thread like the other determinism-sensitive suites.
 echo "== E13-EXEC cross-validation + determinism check =="
 ECL_FLEET_WORKERS=1 cargo run -q --offline --release -p ecl-bench --bin exp13_executive >/dev/null
 cp results/BENCH_exp13.json results/BENCH_exp13.w1.json

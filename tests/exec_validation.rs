@@ -1,9 +1,11 @@
-//! Cross-layer regression: the `ecl-exec` virtual machine must measure
-//! exactly the completion instants that `codegen::replay` derives — the
-//! concurrent execution (threads + rendezvous channels) and the
-//! sequential round-robin replay are two independent executions of the
-//! same executives, and every period of the VM run must reproduce the
-//! replay's single-period instants after removing the period origin.
+//! Cross-layer regression: `exec::run` and `codegen::replay` drive one
+//! sequential executor (`codegen::execute`). `replay` runs one nominal
+//! period from instant zero, with transfer durations from the
+//! architecture's timing; `run` runs every period from its origin
+//! `k·P`, with the schedule's slot durations. Every period of a nominal
+//! run must therefore reproduce the replay's single-period instants
+//! shifted by `k·P`: periods are independent, nothing is forced, and the
+//! schedule's slot durations equal the architecture's transfer times.
 
 use eclipse_codesign::aaa::{
     adequation, codegen, AdequationOptions, AlgorithmGraph, ArchitectureGraph, Schedule, TimeNs,
@@ -14,8 +16,8 @@ use eclipse_codesign::exec::{self, ExecOptions};
 const PERIODS: u32 = 4;
 
 /// Runs the VM for [`PERIODS`] periods and asserts every period's
-/// measured instants equal the replay's, op by op and transfer by
-/// transfer.
+/// measured instants equal the replay's shifted by the period origin, op
+/// by op and transfer by transfer.
 fn assert_vm_matches_replay(
     alg: &AlgorithmGraph,
     arch: &ArchitectureGraph,
